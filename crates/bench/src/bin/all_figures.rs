@@ -5,8 +5,7 @@
 //! `target/experiments/`.
 //!
 //! Stdout is byte-identical across thread counts (see DESIGN.md); the
-//! wall-clock and thread count go to stderr and to the
-//! `harness_wallclock` record, both outside that contract.
+//! wall-clock and thread count go to stderr, outside that contract.
 fn main() {
     use tetrium_bench::figs::*;
     let threads = tetrium_bench::thread_count();
@@ -29,12 +28,4 @@ fn main() {
     let wall = t0.elapsed().as_secs_f64();
     println!("\nall figures regenerated; records in target/experiments/");
     eprintln!("[all_figures] wall-clock {wall:.1} s on {threads} thread(s)");
-    tetrium_bench::write_record(
-        "harness_wallclock",
-        &serde_json::json!({
-            "threads": threads,
-            "quick": tetrium_bench::quick_mode(),
-            "wall_secs": wall,
-        }),
-    );
 }

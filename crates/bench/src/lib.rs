@@ -15,7 +15,6 @@
 //! (`TETRIUM_THREADS`, default all cores) via [`runner`]; output stays
 //! byte-identical to a sequential run.
 
-pub mod churn;
 pub mod figs;
 mod record;
 pub mod runner;
@@ -125,71 +124,4 @@ pub fn rt_reduction(base: &RunReport, x: &RunReport) -> f64 {
 /// Pretty separator line for the console output.
 pub fn banner(id: &str, title: &str) {
     println!("\n=== {id}: {title} ===");
-}
-
-/// A map-placement-shaped LP at `n` sites: one variable per admissible
-/// `(source, destination)` pair (each source may ship to itself plus 12
-/// pruned destinations, matching the scheduler's `dest_limit`), plus the
-/// three makespan variables, with the row structure of
-/// `solve_map_placement` (row sums, upload, download, compute). Shared by
-/// `benches/solver_time.rs` and `perf_snapshot` so the criterion bench and
-/// the perf gate time the same instance.
-pub fn map_like_lp(n: usize) -> tetrium_lp::Problem {
-    use tetrium_lp::{Problem, Relation};
-    assert!(n > 13, "the pruned-destination layout needs n > 13");
-    let input_gb: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
-    let tasks_from: Vec<f64> = (0..n).map(|i| (10 + (i * 13) % 40) as f64).collect();
-    let up: Vec<f64> = (0..n).map(|i| 0.0125 + 0.01 * (i % 11) as f64).collect();
-    let down: Vec<f64> = (0..n)
-        .map(|i| 0.0125 + 0.01 * ((i + 3) % 11) as f64)
-        .collect();
-    let slots: Vec<f64> = (0..n).map(|i| (25 + (i * 97) % 1000) as f64).collect();
-    // Destinations 0..12 are admissible for everyone (stand-in for the
-    // pruned top-k); every source may also stay home.
-    let dest_ok = |y: usize| y < 12;
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for x in 0..n {
-        for y in 0..n {
-            if y == x || dest_ok(y) {
-                pairs.push((x, y));
-            }
-        }
-    }
-    let var = |x: usize, y: usize| pairs.binary_search(&(x, y)).expect("admissible");
-    let nv = pairs.len();
-    let (t_aggr, t_map) = (nv, nv + 1);
-    let mut lp = Problem::minimize(nv + 2);
-    lp.set_objective(&[(t_aggr, 1.0), (t_map, 1.0)]);
-    for x in 0..n {
-        let terms: Vec<(usize, f64)> = (0..n)
-            .filter(|&y| y == x || dest_ok(y))
-            .map(|y| (var(x, y), 1.0))
-            .collect();
-        lp.add_constraint(&terms, Relation::Eq, 1.0);
-    }
-    for x in 0..n {
-        let mut terms: Vec<(usize, f64)> = (0..n)
-            .filter(|&y| y != x && dest_ok(y))
-            .map(|y| (var(x, y), input_gb[x]))
-            .collect();
-        terms.push((t_aggr, -up[x]));
-        lp.add_constraint(&terms, Relation::Le, 0.0);
-    }
-    for x in 0..n.min(12) {
-        let mut terms: Vec<(usize, f64)> = (0..n)
-            .filter(|&y| y != x)
-            .map(|y| (var(y, x), input_gb[y]))
-            .collect();
-        terms.push((t_aggr, -down[x]));
-        lp.add_constraint(&terms, Relation::Le, 0.0);
-    }
-    for y in 0..n {
-        let mut terms: Vec<(usize, f64)> = (0..n)
-            .filter(|&x| x == y || dest_ok(y))
-            .map(|x| (var(x, y), 2.0 * tasks_from[x]))
-            .collect();
-        terms.push((t_map, -slots[y]));
-        lp.add_constraint(&terms, Relation::Le, 0.0);
-    }
-    lp
 }

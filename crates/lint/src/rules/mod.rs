@@ -21,11 +21,11 @@ pub use token::{
 use crate::lexer::Tok;
 use crate::Rule;
 
-/// Integration tests, benches and examples live outside `#[cfg(test)]`
-/// but are still non-production code: the dataflow rules (L6–L8) skip
-/// them, like they skip `#[cfg(test)]` regions.
+/// Integration tests and examples live outside `#[cfg(test)]` but are
+/// still non-production code: the dataflow rules (L6–L8) skip them, like
+/// they skip `#[cfg(test)]` regions.
 pub(crate) fn is_test_path(path: &str) -> bool {
-    path.contains("/tests/") || path.contains("/benches/") || path.contains("/examples/")
+    path.contains("/tests/") || path.contains("/examples/")
 }
 
 /// A finding before path/source-line context is attached.

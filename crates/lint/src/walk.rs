@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 /// Directories never descended into: vendored third-party code, build
 /// output, VCS metadata, and lint test fixtures (which are known-bad on
 /// purpose).
-const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", "fixtures", "benchmarks"];
+const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", "fixtures"];
 
 /// Returns all `.rs` files under `root`, as paths relative to `root`,
 /// sorted so diagnostics are stable across platforms.

@@ -4,9 +4,8 @@
 //! [`crate::revised`]; this module keeps the original dense tableau
 //! implementation as an independent cross-check. Under `--features audit`,
 //! [`crate::Problem`] re-solves (size-gated) instances through this path and
-//! asserts agreement with the sparse result; the test suite and the
-//! `solver_time` benchmark also call it directly via
-//! [`crate::Problem::solve_dense`].
+//! asserts agreement with the sparse result; the test suite also calls it
+//! directly via [`crate::Problem::solve_dense`].
 //!
 //! The oracle shares *data preparation* and *answer extraction* with the
 //! sparse backend — both build the same [`NormSystem`] and both finish

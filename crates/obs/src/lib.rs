@@ -9,8 +9,8 @@
 //!
 //! The disabled handle is the default and costs one `Option` branch per
 //! emission point — the engine's hot path stays allocation-free (the
-//! overhead budget is enforced by `perf_snapshot --check` against the
-//! committed `benchmarks/perf_baseline.json`). When recording, everything
+//! benchmark in `perfbench/` measures with this handle, so a cost here
+//! shows in its `tasks_per_s`). When recording, everything
 //! collected is simulation-derived and therefore deterministic for a given
 //! seed, except the *measured* per-instance scheduler wall latency;
 //! [`ObsReport::to_json`] takes an `include_wall` switch so serialized
