@@ -1,5 +1,5 @@
 //! Consolidates all JSON records under `target/experiments/` into one
-//! summary table — run after `all_figures` (or any subset).
+//! summary table — run after `figs` (or any subset of its entries).
 
 use serde_json::Value;
 use std::fs;
@@ -8,7 +8,7 @@ use std::path::Path;
 fn main() {
     let dir = Path::new("target/experiments");
     if !dir.is_dir() {
-        eprintln!("no target/experiments/ directory; run the fig* binaries first");
+        eprintln!("no target/experiments/ directory; run the figs binary first");
         std::process::exit(1);
     }
     let mut names: Vec<String> = fs::read_dir(dir)

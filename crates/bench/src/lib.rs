@@ -3,8 +3,8 @@
 //!
 //! Each figure has a module under [`figs`] exposing a `run()` that prints
 //! the same rows/series the paper reports and appends a JSON record under
-//! `target/experiments/`; the `fig*` binaries are thin wrappers, and
-//! `all_figures` runs the whole suite.
+//! `target/experiments/`; the `figs` binary runs one figure by name, or the
+//! whole suite with no name.
 //!
 //! Scale control: set `TETRIUM_QUICK=1` to shrink workloads for smoke runs;
 //! absolute numbers are not comparable to the paper's testbed either way —

@@ -94,8 +94,8 @@ mod tests {
     fn compute_spread_hits_two_orders_of_magnitude() {
         let mut rng = StdRng::seed_from_u64(7);
         let v = HeterogeneityProfile::osp_compute().sample(300, &mut rng);
-        let lo = v.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = v.iter().cloned().fold(0.0f64, f64::max);
+        let lo = v.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = v.iter().copied().fold(0.0f64, f64::max);
         assert!((hi / lo - 200.0).abs() < 1e-6, "spread was {}", hi / lo);
     }
 
@@ -103,8 +103,8 @@ mod tests {
     fn bandwidth_spread_is_about_18x() {
         let mut rng = StdRng::seed_from_u64(11);
         let v = sample_bandwidth_spread(200, 0.1, &mut rng);
-        let lo = v.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = v.iter().cloned().fold(0.0f64, f64::max);
+        let lo = v.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = v.iter().copied().fold(0.0f64, f64::max);
         assert!((hi / lo - 18.0).abs() < 1e-6);
         assert!(lo >= 0.1 - 1e-12);
     }

@@ -1,34 +1,20 @@
 //! CLI for `tetrium-lint`. Run via `cargo lint` (alias) or
 //! `cargo run -p tetrium-lint`.
 //!
-//! Modes:
-//! * default — lint the workspace, ratchet against `lint_baseline.json`:
-//!   findings beyond the baseline fail (exit 1); burned-down baseline
-//!   keys print a stale warning (exit 0) prompting a baseline re-commit.
-//! * `--json` — print the findings document to stdout (CI uploads this
-//!   as an artifact); the ratchet still decides the exit code.
-//! * `--update-baseline` — rewrite `lint_baseline.json` to accept the
-//!   current findings, then exit 0.
-//! * `--no-baseline` — ignore the baseline: any finding fails.
-//!
-//! An optional positional argument overrides the workspace root.
+//! Lints the workspace (or the root given as the one positional argument),
+//! prints every finding rustc-style on stderr, and exits 1 if there is any:
+//! the gate is zero findings. Fix a finding or justify it in place with
+//! `// lint:allow(Ln, "reason")`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tetrium_lint::baseline::{findings_to_json, Baseline};
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut update = false;
-    let mut no_baseline = false;
     let mut root: Option<PathBuf> = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--json" => json = true,
-            "--update-baseline" => update = true,
-            "--no-baseline" => no_baseline = true,
             "--help" | "-h" => {
-                eprintln!("usage: cargo lint [--json] [--update-baseline] [--no-baseline] [ROOT]");
+                eprintln!("usage: cargo lint [ROOT]");
                 return ExitCode::SUCCESS;
             }
             other if !other.starts_with('-') => root = Some(PathBuf::from(other)),
@@ -46,79 +32,22 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if json {
-        print!("{}", findings_to_json(&findings));
+    for f in &findings {
+        eprintln!("{}", f.render());
     }
-
-    let baseline_path = root.join("lint_baseline.json");
-    if update {
-        let doc = Baseline::from_findings(&findings).to_json();
-        if let Err(e) = std::fs::write(&baseline_path, doc) {
+    match findings.len() {
+        0 => {
+            eprintln!("tetrium-lint: clean (0 findings)");
+            ExitCode::SUCCESS
+        }
+        n => {
+            let s = if n == 1 { "" } else { "s" };
             eprintln!(
-                "tetrium-lint: failed to write {}: {e}",
-                baseline_path.display()
+                "tetrium-lint: {n} finding{s} (fix, or justify with \
+                 `// lint:allow(Ln, \"reason\")`)"
             );
-            return ExitCode::from(2);
+            ExitCode::FAILURE
         }
-        eprintln!(
-            "tetrium-lint: baseline updated ({} finding{} accepted)",
-            findings.len(),
-            plural(findings.len())
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if no_baseline {
-        Baseline::default()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("tetrium-lint: {} is invalid: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) => Baseline::default(),
-        }
-    };
-    let ratchet = baseline.ratchet(&findings);
-    if !json {
-        for f in &ratchet.new {
-            eprintln!("{}", f.render());
-        }
-    }
-    for (key, recorded, current) in &ratchet.stale {
-        eprintln!(
-            "tetrium-lint: warning: baseline entry shrank ({} {} `{}`: {} -> {}); \
-             run `cargo lint --update-baseline` and commit lint_baseline.json",
-            key.0, key.1, key.2, recorded, current
-        );
-    }
-    if ratchet.new.is_empty() {
-        let suppressed = findings.len() - ratchet.new.len();
-        eprintln!(
-            "tetrium-lint: clean ({suppressed} baselined finding{})",
-            plural(suppressed)
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "tetrium-lint: {} new finding{} (fix, justify with \
-             `// lint:allow(Ln, \"reason\")`, or — for accepted debt — \
-             `cargo lint --update-baseline`)",
-            ratchet.new.len(),
-            plural(ratchet.new.len())
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn plural(n: usize) -> &'static str {
-    if n == 1 {
-        ""
-    } else {
-        "s"
     }
 }
 

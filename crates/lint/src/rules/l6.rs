@@ -4,11 +4,21 @@
 //! deterministic replay or a serving task mid-request (PRs 7–9 each
 //! shipped a fix for one that escaped review: empty-CDF `unwrap`,
 //! homeless map tasks, non-UTF-8 paths). This rule makes the reachable
-//! panic surface explicit: `.unwrap()` / `.expect(…)`, the panicking
-//! macros, and `expr[…]` indexing, outside `#[cfg(test)]` and
-//! audit-gated code. Every remaining site must either become a typed
-//! error or carry `lint:allow(L6, "reason")` — the reason string is
-//! mandatory for this rule (see [`crate::Rule::requires_reason`]).
+//! panic surface explicit, outside `#[cfg(test)]` and audit-gated code:
+//!
+//! * `.unwrap()` / `.expect(…)` and the panicking macros, in all five
+//!   crates;
+//! * `expr[…]` indexing, only in the serving crates (`serve`, `obs`).
+//!
+//! Indexing in the `sim`/`net`/`lp` kernels (the placement LP, the WAN
+//! max-min fill, the event loop) is left to Rust's bounds checks: the
+//! `audit` feature re-solves every LP against a dense oracle and re-checks
+//! every waterfill from scratch, and the proptests sweep the index
+//! domains, so a bad bound there is caught without a finding per access.
+//!
+//! Every remaining site must either become a typed error or carry
+//! `lint:allow(L6, "reason")` — the reason string is mandatory for this
+//! rule (see [`crate::Rule::requires_reason`]).
 
 use super::{finding, RawFinding};
 use crate::lexer::{Lexed, TokKind};
@@ -30,6 +40,14 @@ pub fn l6_applies(path: &str) -> bool {
         .any(|p| path.starts_with(p))
 }
 
+/// The `expr[…]` branch of L6 covers only the serving crates; see the
+/// module docs for why the kernels are exempt.
+fn indexing_applies(path: &str) -> bool {
+    ["crates/serve/", "crates/obs/"]
+        .iter()
+        .any(|p| path.starts_with(p))
+}
+
 /// Macros that unconditionally panic when reached.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
@@ -41,8 +59,9 @@ const NON_RECEIVER_KEYWORDS: &[&str] = &[
     "trait", "type", "const", "static", "unsafe", "async", "await", "dyn", "box", "yield",
 ];
 
-/// L6: reachable panics outside test/audit code.
-pub fn check_l6(lexed: &Lexed, syn: &FileSyntax, out: &mut Vec<RawFinding>) {
+/// L6: reachable panics outside test/audit code in the file at `path`.
+pub fn check_l6(path: &str, lexed: &Lexed, syn: &FileSyntax, out: &mut Vec<RawFinding>) {
+    let index_scope = indexing_applies(path);
     let toks = &lexed.toks;
     for (i, t) in toks.iter().enumerate() {
         if syn.in_test_code(i) || syn.in_audit_code(i) {
@@ -88,7 +107,7 @@ pub fn check_l6(lexed: &Lexed, syn: &FileSyntax, out: &mut Vec<RawFinding>) {
         // `]`. Array literals, slice patterns, attributes and types all
         // have punctuation (or a keyword) before the `[`, so they don't
         // match.
-        if t.is_punct("[") && i > 0 {
+        if index_scope && t.is_punct("[") && i > 0 {
             let p = &toks[i - 1];
             let is_recv = match p.kind {
                 TokKind::Ident => !NON_RECEIVER_KEYWORDS.contains(&p.text.as_str()),
@@ -139,10 +158,10 @@ mod tests {
     #[test]
     fn indexing_fires_but_patterns_and_literals_do_not() {
         let hit = "fn f(v: &[u32], i: usize) -> u32 { v[i] }";
-        assert_eq!(l6("crates/net/src/x.rs", hit).len(), 1);
+        assert_eq!(l6("crates/serve/src/x.rs", hit).len(), 1);
         // Slice pattern, array literal, array type: no receiver before `[`.
         let ok = "fn f() -> [u8; 2] { let [a, b] = [1u8, 2]; [a, b] }";
-        assert!(l6("crates/net/src/x.rs", ok).is_empty());
+        assert!(l6("crates/serve/src/x.rs", ok).is_empty());
     }
 
     #[test]
@@ -150,6 +169,18 @@ mod tests {
         let src = "fn f(v: Vec<u32>) -> u32 { v[0] }";
         assert!(l6("crates/cli/src/x.rs", src).is_empty());
         assert_eq!(l6("crates/obs/src/x.rs", src).len(), 1);
+        // Kernel crates: indexing is left to bounds checks and the audit
+        // oracles, but `.unwrap()` still fires.
+        let kernel = "fn f(v: &[u32], i: usize) -> u32 {\n\
+                          v[i] + *v.first().unwrap()\n\
+                      }";
+        let f = l6("crates/lp/src/x.rs", kernel);
+        assert_eq!(f.len(), 1, "{f:#?}");
+        assert_eq!(
+            (f[0].line, f[0].col, f[0].len),
+            (2, 19, 6),
+            "span of `unwrap`"
+        );
     }
 
     #[test]
@@ -158,11 +189,11 @@ mod tests {
                              // lint:allow(L6)\n\
                              v[0]\n\
                          }";
-        assert_eq!(l6("crates/sim/src/x.rs", no_reason).len(), 1);
+        assert_eq!(l6("crates/serve/src/x.rs", no_reason).len(), 1);
         let with_reason = "fn f(v: &[u32]) -> u32 {\n\
                                // lint:allow(l6, \"len checked by caller\")\n\
                                v[0]\n\
                            }";
-        assert!(l6("crates/sim/src/x.rs", with_reason).is_empty());
+        assert!(l6("crates/serve/src/x.rs", with_reason).is_empty());
     }
 }

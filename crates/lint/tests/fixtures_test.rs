@@ -6,7 +6,6 @@
 //! deliberately-bad files never fail the real `cargo lint` run.
 
 use std::path::Path;
-use tetrium_lint::baseline::Baseline;
 use tetrium_lint::{lint_source, lint_workspace, Finding, Rule};
 
 fn fixture_root() -> std::path::PathBuf {
@@ -186,29 +185,19 @@ fn diagnostics_render_with_caret_under_the_span() {
     assert!(rendered.contains("^^^^^^^^^^^"), "{rendered}");
 }
 
-/// The real workspace must stay at or below the committed baseline: any
-/// NEW finding (a key not in `lint_baseline.json`, or a count above its
-/// baselined value) fails this test, not just the CI lint job. Burndown
-/// (counts below baseline) is allowed here; `cargo lint` reports it as a
-/// stale-baseline warning.
+/// The real workspace has zero findings: the same gate `cargo lint`
+/// applies, so a new finding fails this test too, not just the CI lint job.
 #[test]
-fn workspace_is_clean_or_baselined() {
+fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .expect("workspace root");
     let findings = lint_workspace(&root).expect("workspace scans");
-    let baseline_path = root.join("lint_baseline.json");
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(json) => Baseline::parse(&json).expect("lint_baseline.json parses"),
-        Err(_) => Baseline::default(),
-    };
-    let ratchet = baseline.ratchet(&findings);
     assert!(
-        ratchet.new.is_empty(),
-        "workspace has findings not covered by lint_baseline.json:\n{}",
-        ratchet
-            .new
+        findings.is_empty(),
+        "workspace has lint findings:\n{}",
+        findings
             .iter()
             .map(Finding::render)
             .collect::<Vec<_>>()

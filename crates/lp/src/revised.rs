@@ -81,7 +81,7 @@ impl<'a> Rev<'a> {
             status,
             basis_cols,
             xb: vec![0.0; m],
-            lu: SparseLu::factorize(0, |_, _| {}, LU_TOL).expect("empty LU"),
+            lu: SparseLu::empty(),
             etas: Vec::new(),
             pivots: 0,
         };
@@ -121,7 +121,7 @@ impl<'a> Rev<'a> {
             status,
             basis_cols,
             xb: vec![0.0; m],
-            lu: SparseLu::factorize(0, |_, _| {}, LU_TOL).expect("empty LU"),
+            lu: SparseLu::empty(),
             etas: Vec::new(),
             pivots: 0,
         };
@@ -356,7 +356,7 @@ impl<'a> Rev<'a> {
                     let viol = match self.status[j] {
                         Status::Lower => -d,
                         Status::Upper => d,
-                        Status::Basic => unreachable!(),
+                        Status::Basic => continue, // excluded by `may_enter`
                     };
                     if viol > best_v {
                         best_v = viol;

@@ -38,6 +38,18 @@ pub(crate) struct SparseLu {
 }
 
 impl SparseLu {
+    /// The factorization of the `0×0` matrix: a placeholder until the
+    /// first real [`SparseLu::factorize`].
+    pub fn empty() -> Self {
+        SparseLu {
+            m: 0,
+            l_cols: Vec::new(),
+            u_cols: Vec::new(),
+            diag: Vec::new(),
+            pivrow: Vec::new(),
+        }
+    }
+
     /// Factorizes the `m×m` matrix whose column `k` is produced by
     /// `col(k, &mut out)` as `(row, value)` pairs (any order; duplicate rows
     /// are summed). Returns `None` if a pivot of magnitude `> tol` cannot be

@@ -1,6 +1,9 @@
 //! The service: shard workers around deterministic engines, an async
 //! submission front end, broadcast fan-out and cooperative shutdown.
 
+use std::collections::BTreeSet;
+use std::sync::{Mutex, PoisonError};
+
 use tokio::sync::{broadcast, mpsc};
 use tokio::task::JoinHandle;
 use tokio_util::sync::CancellationToken;
@@ -28,6 +31,12 @@ pub enum SubmitError {
     /// The service is shutting down (or already shut down); the job is
     /// returned to the caller.
     ShuttingDown(Box<Job>),
+    /// A job with the same id was already accepted; the job is returned to
+    /// the caller.
+    DuplicateJob(Box<Job>),
+    /// The job's root inputs do not cover exactly the service cluster's
+    /// sites; the job is returned to the caller.
+    ClusterMismatch(Box<Job>),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -35,6 +44,12 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::ShuttingDown(job) => {
                 write!(f, "service is shutting down; job {} rejected", job.id)
+            }
+            SubmitError::DuplicateJob(job) => {
+                write!(f, "job {} was already submitted", job.id)
+            }
+            SubmitError::ClusterMismatch(job) => {
+                write!(f, "job {} input does not match the cluster", job.id)
             }
         }
     }
@@ -75,6 +90,10 @@ impl std::error::Error for ServeError {}
 /// front end. See the crate docs for the architecture and determinism
 /// contract.
 pub struct TetriumService {
+    cluster: Cluster,
+    /// Ids of every accepted job: the engine asserts ids are unique, so a
+    /// duplicate must be turned away here, before it reaches a shard.
+    accepted: Mutex<BTreeSet<JobId>>,
     submit_txs: Vec<mpsc::Sender<Job>>,
     events_tx: broadcast::Sender<JobEvent>,
     token: CancellationToken,
@@ -140,6 +159,8 @@ impl TetriumService {
             )));
         }
         Self {
+            cluster: cluster.clone(),
+            accepted: Mutex::new(BTreeSet::new()),
             submit_txs,
             events_tx,
             token,
@@ -165,13 +186,27 @@ impl TetriumService {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::ShuttingDown`] (returning the job) once
-    /// [`TetriumService::shutdown`] has been called.
+    /// Each returns the job:
+    /// - [`SubmitError::ShuttingDown`] once [`TetriumService::shutdown`]
+    ///   has been called;
+    /// - [`SubmitError::ClusterMismatch`] when the job's inputs do not
+    ///   match the service cluster;
+    /// - [`SubmitError::DuplicateJob`] when a job with the same id was
+    ///   already accepted.
     pub async fn submit(&self, job: Job) -> Result<SubmitReceipt, SubmitError> {
         if self.token.is_cancelled() {
             return Err(SubmitError::ShuttingDown(Box::new(job)));
         }
+        if !job.matches_cluster(&self.cluster) {
+            return Err(SubmitError::ClusterMismatch(Box::new(job)));
+        }
         let id = job.id;
+        // A claimed id stays claimed even if the send below fails: that
+        // only happens once the service is shutting down, and every later
+        // submit is turned away by the token check above.
+        if !self.claim(id) {
+            return Err(SubmitError::DuplicateJob(Box::new(job)));
+        }
         let shard = shard_of(id, self.shards);
         // `shard_of` returns `< self.shards == submit_txs.len()`; treat a
         // mismatch like shutdown rather than panicking a serving task.
@@ -182,6 +217,15 @@ impl TetriumService {
             Ok(()) => Ok(SubmitReceipt { job: id, shard }),
             Err(mpsc::SendError(job)) => Err(SubmitError::ShuttingDown(Box::new(job))),
         }
+    }
+
+    /// Records `id` as accepted; `false` if it already was. Synchronous,
+    /// so the lock is never held across an `.await`.
+    fn claim(&self, id: JobId) -> bool {
+        self.accepted
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id)
     }
 
     /// A new lifecycle-event subscription. Events sent before the call are

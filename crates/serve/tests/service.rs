@@ -1,5 +1,6 @@
 //! End-to-end service tests: submission-order determinism under one epoch
-//! partition, merged multi-shard reports, and graceful shutdown.
+//! partition, merged multi-shard reports, graceful shutdown, and typed
+//! rejection of duplicate or mismatched submissions.
 
 use tetrium_serve::{
     shard_of, Job, JobEvent, JobId, ServeConfig, SpanTap, SubmitError, TetriumService,
@@ -251,5 +252,52 @@ fn join_without_shutdown_drains_backlog() {
         // worker drains the backlog and exits on the closed queue.
         let report = svc.join().await.expect("service run succeeds");
         assert_eq!(report.total_jobs(), 4);
+    });
+}
+
+/// A second job with an already accepted id is turned away at `submit`
+/// (the engine would panic the shard on it), as is a job whose inputs do
+/// not match the cluster; the shard keeps serving every other job.
+#[test]
+fn duplicate_job_id_is_rejected_and_the_shard_keeps_serving() {
+    let rt = runtime();
+    rt.block_on(async {
+        let shards = 2;
+        let cfg = ServeConfig {
+            shards,
+            ..ServeConfig::default()
+        };
+        let svc = TetriumService::start(&two_sites(), &cfg);
+        for id in 0..10 {
+            svc.submit(job(id)).await.expect("submit accepted");
+        }
+        match svc.submit(job(7)).await {
+            Err(SubmitError::DuplicateJob(j)) => assert_eq!(j.id, JobId(7)),
+            other => panic!("duplicate id must be rejected, got {other:?}"),
+        }
+        let three_sites = Job::new(
+            JobId(11),
+            "serve-11".to_string(),
+            0.0,
+            vec![Stage::root_map(
+                DataDistribution::new(vec![1.0, 1.0, 1.0]),
+                4,
+                1.0,
+                0.2,
+            )],
+        );
+        match svc.submit(three_sites).await {
+            Err(SubmitError::ClusterMismatch(j)) => assert_eq!(j.id, JobId(11)),
+            other => panic!("mismatched job must be rejected, got {other:?}"),
+        }
+        let report = svc.join().await.expect("service run succeeds");
+        assert_eq!(report.total_jobs(), 10);
+        let home = &report.shards[shard_of(JobId(7), shards)];
+        let mut ids: Vec<usize> = home.report.jobs.iter().map(|j| j.id.0).collect();
+        ids.sort_unstable();
+        let expected: Vec<usize> = (0..10)
+            .filter(|&id| shard_of(JobId(id), shards) == home.shard)
+            .collect();
+        assert_eq!(ids, expected, "shard {} lost jobs", home.shard);
     });
 }

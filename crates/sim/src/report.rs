@@ -130,17 +130,10 @@ impl RunReport {
         self.jobs.iter().map(|j| j.response).sum::<f64>() / self.jobs.len() as f64
     }
 
-    /// Response time of the job with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job is not in the report.
-    pub fn response_of(&self, id: JobId) -> f64 {
-        self.jobs
-            .iter()
-            .find(|j| j.id == id)
-            .expect("job in report")
-            .response
+    /// Response time of the job with the given id, or `None` if the job is
+    /// not in the report.
+    pub fn response_of(&self, id: JobId) -> Option<f64> {
+        self.jobs.iter().find(|j| j.id == id).map(|j| j.response)
     }
 
     /// The `q`-quantile (0..=1) of response times (nearest-rank).
@@ -185,7 +178,7 @@ mod tests {
         RunReport {
             scheduler: "test".into(),
             jobs: rs.iter().enumerate().map(|(i, &r)| outcome(i, r)).collect(),
-            makespan: rs.iter().cloned().fold(0.0, f64::max),
+            makespan: rs.iter().copied().fold(0.0, f64::max),
             total_wan_gb: 0.0,
             sched_invocations: 0,
             sched_wall_secs: 0.0,
@@ -205,7 +198,8 @@ mod tests {
         assert_eq!(r.response_percentile(0.0), 1.0);
         assert_eq!(r.response_percentile(1.0), 10.0);
         assert_eq!(r.response_percentile(0.5), 3.0);
-        assert_eq!(r.response_of(JobId(3)), 10.0);
+        assert_eq!(r.response_of(JobId(3)), Some(10.0));
+        assert_eq!(r.response_of(JobId(99)), None);
     }
 
     #[test]

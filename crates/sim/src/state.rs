@@ -308,17 +308,20 @@ fn partition_counts(input: &DataDistribution, num_tasks: usize) -> Vec<usize> {
     for &s in &with_data {
         counts[s] += 1;
     }
-    // Sites without data must hold no partitions.
-    for s in 0..n_sites {
-        if input.at(SiteId(s)) <= 1e-12 && counts[s] > 0 {
-            // Largest-remainder over zero fractions cannot assign here, but
-            // guard anyway: move stray counts to the largest data site.
-            let target = *with_data
-                .iter()
-                .max_by(|&&a, &&b| input.at(SiteId(a)).total_cmp(&input.at(SiteId(b))))
-                .expect("some site has data");
-            counts[target] += counts[s];
-            counts[s] = 0;
+    // Sites without data must hold no partitions. Largest-remainder over
+    // zero fractions cannot assign there, but guard anyway: move stray
+    // counts to the largest data site. (When every site is below the data
+    // threshold there is no such site, and the counts stand.)
+    let largest = with_data
+        .iter()
+        .copied()
+        .max_by(|&a, &b| input.at(SiteId(a)).total_cmp(&input.at(SiteId(b))));
+    if let Some(target) = largest {
+        for s in 0..n_sites {
+            if input.at(SiteId(s)) <= 1e-12 && counts[s] > 0 {
+                counts[target] += counts[s];
+                counts[s] = 0;
+            }
         }
     }
     counts
@@ -375,6 +378,12 @@ mod tests {
         let tasks = build_tasks(StageKind::Map, 5, &input, |_| 0.0);
         assert_eq!(tasks.len(), 5);
         assert!(tasks.iter().all(|t| t.input_gb == 0.0));
+        // Dust: a nonzero total with every site below the data threshold.
+        let dust = DataDistribution::new(vec![1e-12; 3]);
+        let tasks = build_tasks(StageKind::Map, 5, &dust, |_| 0.0);
+        assert_eq!(tasks.len(), 5);
+        let vol: f64 = tasks.iter().map(|t| t.input_gb).sum();
+        assert!((vol - 3e-12).abs() < 1e-24, "volume {vol}");
     }
 
     #[test]

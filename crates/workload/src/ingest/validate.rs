@@ -619,7 +619,7 @@ mod tests {
     const GOOD_REDUCE: &str = r#"{"job": "a", "submit_s": 1.0, "stage": 1, "deps": [0], "kind": "reduce",
         "tasks": 2, "task_s": 1.0, "input_gb": 1.0, "output_gb": 0.1}"#;
 
-    fn fired<'a>(t: &RawTrace, cfg: &ValidatorConfig) -> Vec<Violation> {
+    fn fired(t: &RawTrace, cfg: &ValidatorConfig) -> Vec<Violation> {
         match validate(t, cfg) {
             Ok(()) => Vec::new(),
             Err(r) => r.violations,

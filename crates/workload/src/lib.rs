@@ -129,8 +129,8 @@ mod tests {
         let flat = key_skew_weights(100, 0.0, &mut rng);
         assert!(flat.iter().all(|&w| w == 1.0));
         let skew = key_skew_weights(100, 1.5, &mut rng);
-        let max = skew.iter().cloned().fold(0.0f64, f64::max);
-        let min = skew.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = skew.iter().copied().fold(0.0f64, f64::max);
+        let min = skew.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(max / min > 3.0);
     }
 

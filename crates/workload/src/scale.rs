@@ -9,9 +9,9 @@
 //! inputs are concentrated (the per-stage LP still sees every site, but
 //! task counts stay bounded), and stage chains are short.
 //!
-//! The `scale_1000` bench binary drives this via its `--sites N` flag
-//! (see README); [`sites_from_args`] implements the flag parsing so every
-//! scale binary spells it identically.
+//! The bench binary's `figs scale` entry drives this via its `--sites N`
+//! flag (see README); [`sites_from_args`] implements the flag parsing so
+//! every scale entry point spells it identically.
 
 use crate::trace::{trace_like_jobs, TraceParams};
 use rand::rngs::StdRng;

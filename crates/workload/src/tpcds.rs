@@ -138,7 +138,7 @@ mod tests {
         let j = tpcds_like_job(&cluster(), JobId(0), 0.0, 10.0, &mut rng);
         let outs = j.expected_stage_outputs_gb();
         let last = *outs.last().unwrap();
-        let peak = outs.iter().cloned().fold(0.0f64, f64::max);
+        let peak = outs.iter().copied().fold(0.0f64, f64::max);
         assert!(last < peak * 0.5, "tail {last} vs peak {peak}");
     }
 

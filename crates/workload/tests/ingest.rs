@@ -210,8 +210,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let jobs = trace_like_jobs(&cluster, n_jobs, &TraceParams::default(), &mut rng);
         let trace = trace_from_jobs(&jobs, cluster.len(), "proptest");
-        let mut cfg = ValidatorConfig::default();
-        cfg.profile = TraceProfile::from_trace(&trace);
+        let cfg = ValidatorConfig {
+            profile: TraceProfile::from_trace(&trace),
+            ..ValidatorConfig::default()
+        };
         prop_assert!(cfg.profile.is_some());
         if let Err(report) = validate(&trace, &cfg) {
             prop_assert!(false, "generated trace rejected:\n{}", report);

@@ -156,8 +156,8 @@ fn swag_runs_multi_wave_workloads_and_orders_reasonably() {
         EngineConfig::default(),
     )
     .unwrap();
-    let small_resp = report.response_of(JobId(1));
-    let big_resp = report.response_of(JobId(0));
+    let small_resp = report.response_of(JobId(1)).expect("small job ran");
+    let big_resp = report.response_of(JobId(0)).expect("big job ran");
     assert!(
         small_resp < big_resp,
         "small {small_resp:.1} should beat big {big_resp:.1}"

@@ -27,7 +27,9 @@ fn srpt_lands_near_the_paper_schedule() {
     // the reversed order's 2.65 s.
     assert!(avg <= 2.0, "avg response {avg:.2}");
     // Job 1 (the small one) must finish in about one wave.
-    let j1 = report.response_of(tetrium::jobs::JobId(0));
+    let j1 = report
+        .response_of(tetrium::jobs::JobId(0))
+        .expect("job 0 ran");
     assert!(j1 <= 1.3, "small job response {j1:.2}");
 }
 
