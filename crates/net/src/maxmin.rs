@@ -271,6 +271,13 @@ impl Waterfiller {
         }
     }
 
+    /// Number of refills that did work so far (the epoch bumps once per
+    /// working refill). Read only by the flow simulator's refill-count test.
+    #[cfg(all(test, not(feature = "audit")))]
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// Whether any link is marked dirty.
     pub fn is_dirty(&self) -> bool {
         self.all_dirty || !self.dirty_links.is_empty()

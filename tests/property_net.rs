@@ -2,7 +2,7 @@
 //! fluid simulator's byte conservation.
 
 use proptest::prelude::*;
-use tetrium::net::{max_min_rates, waterfill_groups, FlowSpec, GroupSpec};
+use tetrium::net::{max_min_rates, waterfill_groups, FlowKey, FlowSim, FlowSpec, GroupSpec};
 use tetrium_cluster::SiteId;
 
 fn caps_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
@@ -103,7 +103,6 @@ proptest! {
         (up, down) in caps_strategy(),
         ops in proptest::collection::vec((0usize..4, 0usize..7, 0usize..7, 1u32..40), 1..60),
     ) {
-        use tetrium::net::{FlowKey, FlowSim};
         let n = up.len();
         let mut sim = FlowSim::new(up.clone(), down.clone());
         let (mut up, mut down) = (up, down);
@@ -174,7 +173,6 @@ proptest! {
         (up, down) in caps_strategy(),
         ops in proptest::collection::vec((0usize..8, 0usize..7, 0usize..7, 1u32..40), 1..60),
     ) {
-        use tetrium::net::{FlowKey, FlowSim};
         let n = up.len();
         let mut sim = FlowSim::new(up.clone(), down.clone());
         let (mut up, mut down) = (up, down);
@@ -233,7 +231,6 @@ proptest! {
         pair in (0usize..7, 1usize..7),
         ops in proptest::collection::vec((0usize..3, 0usize..13, 1u32..40), 1..60),
     ) {
-        use tetrium::net::{FlowKey, FlowSim};
         let n = up.len();
         let s = pair.0 % n;
         let d = (s + (pair.1 % (n - 1)) + 1) % n;
@@ -298,7 +295,6 @@ proptest! {
         dead in 0usize..7,
         frac in 1u32..39,
     ) {
-        use tetrium::net::FlowSim;
         let n = up.len();
         let dead = dead % n;
         let mut sim = FlowSim::new(up.clone(), down.clone());
@@ -359,7 +355,6 @@ proptest! {
         (up, down) in caps_strategy(),
         specs in proptest::collection::vec((0usize..7, 0usize..7, 1u32..50), 1..30),
     ) {
-        use tetrium::net::FlowSim;
         let n = up.len();
         let mut sim = FlowSim::new(up, down);
         let mut expected = 0.0;
@@ -450,5 +445,201 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Two simulators driven by identical operations. `fast` is queried the way
+/// the engine queries it; `reference` calls `link_usage()` before every
+/// `next_completion()`, which refills pending rates first and so forces the
+/// refresh-then-heap answer. Every answer, refund and ledger total must
+/// agree bit for bit.
+struct Twin {
+    fast: FlowSim,
+    reference: FlowSim,
+    /// In-flight flows with their `(src, dst)` pair.
+    live: Vec<(FlowKey, usize, usize)>,
+}
+
+impl Twin {
+    fn new(up: &[f64], down: &[f64]) -> Self {
+        Self {
+            fast: FlowSim::new(up.to_vec(), down.to_vec()),
+            reference: FlowSim::new(up.to_vec(), down.to_vec()),
+            live: Vec::new(),
+        }
+    }
+
+    fn now(&self) -> f64 {
+        self.fast.now()
+    }
+
+    fn add(&mut self, s: usize, d: usize, gb: f64) {
+        let k = self.fast.add_flow(SiteId(s), SiteId(d), gb);
+        assert_eq!(k, self.reference.add_flow(SiteId(s), SiteId(d), gb));
+        self.live.push((k, s, d));
+    }
+
+    /// Removes `k` from both, asserting identical refunds; returns its pair.
+    fn remove(&mut self, k: FlowKey) -> (usize, usize) {
+        let got = self.fast.remove_flow(k);
+        let want = self.reference.remove_flow(k);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "refund of {k:?}: {got} vs {want}"
+        );
+        let pos = self
+            .live
+            .iter()
+            .position(|&(lk, _, _)| lk == k)
+            .expect("live flow");
+        let (_, s, d) = self.live.swap_remove(pos);
+        (s, d)
+    }
+
+    fn set_capacity(&mut self, site: usize, up: f64, down: f64) {
+        self.fast.set_capacity(SiteId(site), up, down);
+        self.reference.set_capacity(SiteId(site), up, down);
+    }
+
+    fn advance_to(&mut self, t: f64) {
+        self.fast.advance_to(t);
+        self.reference.advance_to(t);
+    }
+
+    fn next(&mut self) -> Option<(FlowKey, f64)> {
+        let got = self.fast.next_completion();
+        self.reference.link_usage();
+        let want = self.reference.next_completion();
+        let bits = |x: Option<(FlowKey, f64)>| x.map(|(k, t)| (k, t.to_bits()));
+        assert_eq!(bits(got), bits(want), "next completion at t={}", self.now());
+        got
+    }
+
+    /// Retires every flow completing at the current instant, as the engine
+    /// does; with `requeue`, each retired flow's pair opens a queued fetch
+    /// of `gb` at the same instant.
+    fn retire_due(&mut self, mut requeue: Option<f64>) {
+        for _ in 0..10_000 {
+            match self.next() {
+                Some((k, t)) if t <= self.now() => {
+                    let (s, d) = self.remove(k);
+                    if let Some(gb) = requeue.take() {
+                        self.add(s, d, gb);
+                    }
+                }
+                _ => return,
+            }
+        }
+        panic!("retire loop runaway");
+    }
+
+    fn assert_ledgers(&self) {
+        let (got, want) = (self.fast.total_wan_gb(), self.reference.total_wan_gb());
+        assert_eq!(got.to_bits(), want.to_bits(), "WAN ledger {got} vs {want}");
+        assert_eq!(self.fast.active_flows(), self.reference.active_flows());
+    }
+}
+
+// Sizes straddling the 1e-12 "already drained" threshold.
+const TINY_GB: [f64; 5] = [0.0, 5e-13, 2e-12, 1e-11, 1e-9];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Answering a query from a flow already due at `now`, without the
+    /// pending refill, must be invisible: same-instant bursts (k equal
+    /// flows on one pair, every site's ring pair at equal capacities),
+    /// queued re-adds at the instant, zero and sub-threshold sizes, outages
+    /// and restores, and a clock far from zero (where one ulp of `now`
+    /// exceeds a tiny flow's drain time) all produce the refresh-first
+    /// simulator's completions, refunds and ledger bit for bit.
+    #[test]
+    fn due_now_answers_match_refresh_first_answers(
+        (up, down) in caps_strategy(),
+        uniform in proptest::bool::ANY,
+        far in proptest::bool::ANY,
+        ops in proptest::collection::vec((0usize..9, 0usize..7, 0usize..7, 1u32..40), 1..60),
+    ) {
+        let n = up.len();
+        let (up, down) = if uniform { (vec![up[0]; n], vec![up[0]; n]) } else { (up, down) };
+        let mut twin = Twin::new(&up, &down);
+        if far {
+            twin.advance_to(1e7);
+        }
+        let pair = |a: usize, b: usize| {
+            let s = a % n;
+            (s, (s + 1 + b % (n - 1)) % n)
+        };
+        for (op, a, b, v) in ops {
+            match op {
+                0 => {
+                    let (s, d) = pair(a, b);
+                    twin.add(s, d, v as f64 * 0.1);
+                }
+                // k equal flows on one pair: they drain at one instant.
+                1 => {
+                    let (s, d) = pair(a, b);
+                    for _ in 0..2 + v % 7 {
+                        twin.add(s, d, (1 + b % 5) as f64 * 0.5);
+                    }
+                }
+                // One flow per site on a ring: at uniform capacities every
+                // pair drains at one instant.
+                2 => {
+                    for s in 0..n {
+                        twin.add(s, (s + 1) % n, v as f64 * 0.1);
+                    }
+                }
+                3 => {
+                    let (s, d) = pair(a, b);
+                    twin.add(s, d, TINY_GB[v as usize % TINY_GB.len()]);
+                }
+                4 => {
+                    if !twin.live.is_empty() {
+                        let (k, _, _) = twin.live[a % twin.live.len()];
+                        twin.remove(k);
+                    }
+                }
+                5 => {
+                    let s = a % n;
+                    if v % 2 == 0 {
+                        twin.set_capacity(s, 0.0, 0.0);
+                    } else {
+                        twin.set_capacity(s, up[s], down[s]);
+                    }
+                }
+                // Advance to the next completion (or part of the way), then
+                // retire everything due there, maybe re-adding at the instant.
+                _ => {
+                    if let Some((_, t)) = twin.next() {
+                        let target = if v % 3 == 0 {
+                            twin.now() + (t - twin.now()) * (v as f64 / 40.0)
+                        } else {
+                            t
+                        };
+                        twin.advance_to(target);
+                        let requeue = match b % 3 {
+                            0 => None,
+                            1 => Some(TINY_GB[v as usize % TINY_GB.len()]),
+                            _ => Some(v as f64 * 0.1),
+                        };
+                        twin.retire_due(requeue);
+                    }
+                }
+            }
+            twin.assert_ledgers();
+        }
+        // Restore every link and drain to empty.
+        for s in 0..n {
+            twin.set_capacity(s, up[s], down[s]);
+        }
+        for _ in 0..10_000 {
+            let Some((_, t)) = twin.next() else { break };
+            twin.advance_to(t);
+            twin.retire_due(None);
+        }
+        prop_assert!(twin.live.is_empty(), "{} flows never completed", twin.live.len());
+        twin.assert_ledgers();
     }
 }
