@@ -105,32 +105,6 @@ pub fn solve_map_placement_warm(
     p: &MapProblem,
     warm: Option<&Basis>,
 ) -> Result<(MapPlacement, SolveMeta), LpError> {
-    solve_map_impl(p, warm, warm.is_some())
-}
-
-/// Cold solve with canonical LP extraction — the bit-for-bit reference the
-/// audit oracle compares a warm-started [`solve_map_placement_warm`]
-/// against. A plain cold solve reports the tableau's own floating-point
-/// representation of the optimum; this one re-derives it from the optimal
-/// vertex exactly like the warm path does, so the two agree bitwise
-/// whenever they reach the same vertex.
-///
-/// # Panics
-///
-/// Panics if vector lengths disagree.
-///
-/// # Errors
-///
-/// Propagates LP failures, exactly as [`solve_map_placement`].
-pub fn solve_map_placement_canonical(p: &MapProblem) -> Result<(MapPlacement, SolveMeta), LpError> {
-    solve_map_impl(p, None, true)
-}
-
-fn solve_map_impl(
-    p: &MapProblem,
-    warm: Option<&Basis>,
-    canonical: bool,
-) -> Result<(MapPlacement, SolveMeta), LpError> {
     let n = p.input_gb.len();
     assert_eq!(p.tasks_from.len(), n);
     assert_eq!(p.up_gbps.len(), n);
@@ -319,10 +293,9 @@ fn solve_map_impl(
         }
     }
 
-    let sol = match (warm, canonical) {
-        (Some(b), _) => lp.solve_from_basis(b)?,
-        (None, true) => lp.solve_canonical()?,
-        (None, false) => lp.solve()?,
+    let sol = match warm {
+        Some(b) => lp.solve_from_basis(b)?,
+        None => lp.solve()?,
     };
     let mut fractions = vec![vec![0.0; n]; n];
     for &(x, y) in &pairs {

@@ -590,11 +590,9 @@ fn patch_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map_placement::{
-        solve_map_placement_canonical, solve_map_placement_warm, MapProblem,
-    };
+    use crate::map_placement::{solve_map_placement, solve_map_placement_warm, MapProblem};
     use crate::reduce_placement::{
-        solve_reduce_placement_canonical, solve_reduce_placement_warm, ReduceProblem,
+        solve_reduce_placement, solve_reduce_placement_warm, ReduceProblem,
     };
 
     fn map_p(input: [f64; 3]) -> MapProblem {
@@ -722,7 +720,7 @@ mod tests {
             panic!("expected warm hint");
         };
         let (warm, meta) = solve_map_placement_warm(&far, Some(&basis)).unwrap();
-        let (cold, _) = solve_map_placement_canonical(&far).unwrap();
+        let cold = solve_map_placement(&far).unwrap();
         assert!(meta.warm_started);
         assert_eq!(warm, cold, "warm-started solve must be bit-exact");
     }
@@ -745,7 +743,7 @@ mod tests {
             panic!("expected warm hint");
         };
         let (warm, meta) = solve_reduce_placement_warm(&far, Some(&basis)).unwrap();
-        let (cold, _) = solve_reduce_placement_canonical(&far).unwrap();
+        let cold = solve_reduce_placement(&far).unwrap();
         assert!(meta.warm_started);
         assert_eq!(warm, cold);
     }

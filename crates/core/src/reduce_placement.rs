@@ -87,30 +87,6 @@ pub fn solve_reduce_placement_warm(
     p: &ReduceProblem,
     warm: Option<&Basis>,
 ) -> Result<(ReducePlacement, SolveMeta), LpError> {
-    solve_reduce_impl(p, warm, warm.is_some())
-}
-
-/// Cold solve with canonical LP extraction — the audit oracle's bit-for-bit
-/// reference; see [`crate::map_placement::solve_map_placement_canonical`].
-///
-/// # Panics
-///
-/// Panics if vector lengths disagree.
-///
-/// # Errors
-///
-/// Propagates LP failures, exactly as [`solve_reduce_placement`].
-pub fn solve_reduce_placement_canonical(
-    p: &ReduceProblem,
-) -> Result<(ReducePlacement, SolveMeta), LpError> {
-    solve_reduce_impl(p, None, true)
-}
-
-fn solve_reduce_impl(
-    p: &ReduceProblem,
-    warm: Option<&Basis>,
-    canonical: bool,
-) -> Result<(ReducePlacement, SolveMeta), LpError> {
     let n = p.shuffle_gb.len();
     assert_eq!(p.up_gbps.len(), n);
     assert_eq!(p.down_gbps.len(), n);
@@ -191,10 +167,9 @@ fn solve_reduce_impl(
         lp.add_constraint(&terms, Relation::Le, w.max(0.0) - total);
     }
 
-    let sol = match (warm, canonical) {
-        (Some(b), _) => lp.solve_from_basis(b)?,
-        (None, true) => lp.solve_canonical()?,
-        (None, false) => lp.solve()?,
+    let sol = match warm {
+        Some(b) => lp.solve_from_basis(b)?,
+        None => lp.solve()?,
     };
     let fractions: Vec<f64> = (0..n).map(|x| sol.values[x].max(0.0)).collect();
     let tasks_at = largest_remainder_round(&fractions, p.num_tasks);

@@ -24,16 +24,14 @@
 use crate::analytic::{evaluate_map_counts, evaluate_reduce_counts};
 use crate::dynamics::limited_update;
 use crate::map_placement::{
-    solve_map_placement, solve_map_placement_canonical, solve_map_placement_warm, MapPlacement,
-    MapProblem,
+    solve_map_placement, solve_map_placement_warm, MapPlacement, MapProblem,
 };
 use crate::ordering::{order_map_tasks, order_reduce_tasks, MapOrdering, ReduceOrdering};
 use crate::plan_cache::{
     map_sigs, reduce_sigs, MapLookup, PlanCacheMode, ReduceLookup, TemplateCache,
 };
 use crate::reduce_placement::{
-    solve_reduce_placement, solve_reduce_placement_canonical, solve_reduce_placement_warm,
-    ReducePlacement, ReduceProblem,
+    solve_reduce_placement, solve_reduce_placement_warm, ReducePlacement, ReduceProblem,
 };
 use crate::reverse::{plan_best, ReduceStageSpec};
 use crate::wan::{reduce_min_wan, wan_budget, WanKnob};
@@ -537,16 +535,15 @@ impl TetriumScheduler {
             self.tmpl.stats.warm += 1;
             self.tmpl.stats.warm_pivots += meta.pivots;
             if tetrium_sim::audit_enabled() {
-                let (cold, cold_meta) = solve_map_placement_canonical(problem)
+                let cold = solve_map_placement(problem)
                     .expect("audit: cold solve must succeed where the warm solve did");
                 assert!(
                     placement == cold,
                     "plan-cache audit: warm-started map solve diverged from cold \
-                     (warm {:?} vs cold {:?}) warm basis {:?} cold basis {:?} problem {:?}",
+                     (warm {:?} vs cold {:?}) warm basis {:?} problem {:?}",
                     placement.times,
                     cold.times,
                     meta.basis,
-                    cold_meta.basis,
                     problem
                 );
             }
@@ -581,7 +578,7 @@ impl TetriumScheduler {
             self.tmpl.stats.warm += 1;
             self.tmpl.stats.warm_pivots += meta.pivots;
             if tetrium_sim::audit_enabled() {
-                let (cold, _) = solve_reduce_placement_canonical(problem)
+                let cold = solve_reduce_placement(problem)
                     .expect("audit: cold solve must succeed where the warm solve did");
                 assert!(
                     placement == cold,

@@ -176,18 +176,6 @@ impl Problem {
         self.solve_inner(Some(basis))
     }
 
-    /// Alias of [`Problem::solve`], kept for callers from the plan-cache
-    /// era: every solve is canonical now, so the cold reference a
-    /// warm-started solve is audited against bit for bit *is* the plain
-    /// solve.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Problem::solve`].
-    pub fn solve_canonical(&self) -> Result<Solution, LpError> {
-        self.solve_inner(None)
-    }
-
     /// Solves through the retained dense tableau oracle instead of the
     /// sparse revised simplex. For problems whose bounds are all `0`/`+∞`
     /// the result is bit-identical to [`Problem::solve`] (same normalized

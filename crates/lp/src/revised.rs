@@ -15,10 +15,17 @@
 //! dropping redundant rows).
 //!
 //! Entering selection is Dantzig's rule for a warm-up period, then Bland's
-//! rule; the canonical face cleanup afterwards minimizes the shared
-//! `sqrt(j + 2)` secondary objective over the primary-optimal face exactly
-//! like the dense oracle does, so both backends finish at the same vertex
-//! and the shared refinement in [`crate::norm`] returns the same bits.
+//! rule. The canonical face cleanup afterwards minimizes the shared
+//! `sqrt(j + 2)` secondary objective over the primary-optimal face, so this
+//! backend and the dense oracle finish at the same vertex and the shared
+//! refinement in [`crate::norm`] returns the same bits. The cleanup is
+//! priced like phase 2: the face set is fixed once from one BTRAN of the
+//! primary cost on entry (entering a column with primary reduced cost ≈ 0
+//! leaves the primary multipliers unchanged), each pivot costs one BTRAN of
+//! the secondary cost and prices only the face set, and entering uses the
+//! same Dantzig-then-Bland loop as phase 1 and phase 2. The dense oracle
+//! keeps Bland's rule for its cleanup; the irrational weights make the face
+//! minimizer unique, so the two pivot paths still meet at one vertex.
 
 use crate::norm::{bounded_rhs, refine_canonical, refine_from_basis, ColDef, NormSystem};
 use crate::problem::Constraint;
@@ -335,47 +342,82 @@ impl<'a> Rev<'a> {
         }
     }
 
-    /// Runs simplex iterations to optimality for `cost` (Dantzig warm-up,
-    /// then Bland's rule).
+    /// Runs simplex iterations to optimality for `cost`, pricing every
+    /// column.
     fn optimize(&mut self, cost: &[f64], barred: &[bool]) -> Result<(), LpError> {
+        self.price_and_pivot(cost, barred, 0..self.sys.total_cols, EPS)
+    }
+
+    /// Minimizes the shared `sqrt(j + 2)` secondary objective over the
+    /// current primary-optimal face — same semantics as the dense oracle's
+    /// face cleanup, so both backends leave at the same canonical vertex.
+    ///
+    /// Every column that enters has primary reduced cost ≈ 0, so the primary
+    /// multipliers, and with them the face, do not change while it runs: the
+    /// face set is fixed once from one BTRAN on entry. It holds the columns
+    /// basic on entry (a basic column that leaves re-joins the face) plus the
+    /// nonbasic columns that may enter with `|d1| ≤ FACE_EPS`. Each pivot then
+    /// costs one BTRAN for the secondary multipliers and prices the face set
+    /// only, with the same Dantzig-then-Bland rule as [`Rev::optimize`].
+    fn optimize_face(&mut self, cost: &[f64], barred: &[bool]) -> Result<(), LpError> {
         let n = self.sys.total_cols;
-        let limit = 200 * (self.sys.m() + n) + 1000;
-        let dantzig_until = 20 * (self.sys.m() + n) + 200;
+        let y1 = self.multipliers(cost);
+        let face: Vec<usize> = (0..n)
+            .filter(|&j| {
+                self.status[j] == Status::Basic
+                    || (self.may_enter(barred, j)
+                        && self.reduced_cost(cost, &y1, j).abs() <= FACE_EPS)
+            })
+            .collect();
+        let sec: Vec<f64> = (0..n).map(|j| ((j + 2) as f64).sqrt()).collect();
+        self.price_and_pivot(&sec, barred, face.iter().copied(), FACE_EPS)?;
+        #[cfg(feature = "audit")]
+        self.audit_face(cost, &sec, barred);
+        Ok(())
+    }
+
+    /// The pricing loop shared by [`Rev::optimize`] and
+    /// [`Rev::optimize_face`]: prices `cols` (ascending) against fresh
+    /// multipliers for `cost` and enters the largest reduced-cost violation
+    /// beyond `tol`, ties to the smallest index (Dantzig), until a warm-up
+    /// budget runs out; after that the first violation wins (Bland), which
+    /// rules out cycling. Stops when no column in `cols` violates.
+    fn price_and_pivot<I>(
+        &mut self,
+        cost: &[f64],
+        barred: &[bool],
+        cols: I,
+        tol: f64,
+    ) -> Result<(), LpError>
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
+        let size = self.sys.m() + self.sys.total_cols;
+        let limit = 200 * size + 1000;
+        let dantzig_until = 20 * size + 200;
         for iter in 0..limit {
             let y = self.multipliers(cost);
-            let entering = if iter < dantzig_until {
-                // Dantzig: largest bound-violation of the reduced-cost sign
-                // condition; ties go to the smallest column index.
-                let mut best = None;
-                let mut best_v = EPS;
-                for j in 0..n {
-                    if !self.may_enter(barred, j) {
-                        continue;
-                    }
-                    let d = self.reduced_cost(cost, &y, j);
-                    let viol = match self.status[j] {
-                        Status::Lower => -d,
-                        Status::Upper => d,
-                        Status::Basic => continue, // excluded by `may_enter`
-                    };
-                    if viol > best_v {
-                        best_v = viol;
-                        best = Some(j);
+            let bland = iter >= dantzig_until;
+            let mut entering = None;
+            let mut best = tol;
+            for j in cols.clone() {
+                if !self.may_enter(barred, j) {
+                    continue;
+                }
+                let d = self.reduced_cost(cost, &y, j);
+                let viol = match self.status[j] {
+                    Status::Lower => -d,
+                    Status::Upper => d,
+                    Status::Basic => continue, // excluded by `may_enter`
+                };
+                if viol > best {
+                    best = viol;
+                    entering = Some(j);
+                    if bland {
+                        break;
                     }
                 }
-                best
-            } else {
-                (0..n).find(|&j| {
-                    self.may_enter(barred, j) && {
-                        let d = self.reduced_cost(cost, &y, j);
-                        match self.status[j] {
-                            Status::Lower => d < -EPS,
-                            Status::Upper => d > EPS,
-                            Status::Basic => false,
-                        }
-                    }
-                })
-            };
+            }
             let Some(q) = entering else {
                 return Ok(());
             };
@@ -384,33 +426,29 @@ impl<'a> Rev<'a> {
         Err(LpError::IterationLimit)
     }
 
-    /// Minimizes the shared `sqrt(j + 2)` secondary objective over the
-    /// current primary-optimal face — same semantics as the dense oracle's
-    /// face cleanup, so both backends leave at the same canonical vertex.
-    /// Entering is Bland-style (smallest eligible index).
-    fn optimize_face(&mut self, cost: &[f64], barred: &[bool]) -> Result<(), LpError> {
-        let n = self.sys.total_cols;
-        let sec: Vec<f64> = (0..n).map(|j| ((j + 2) as f64).sqrt()).collect();
-        let limit = 200 * (self.sys.m() + n) + 1000;
-        for _ in 0..limit {
-            let y1 = self.multipliers(cost);
-            let y2 = self.multipliers(&sec);
-            let entering = (0..n).find(|&j| {
-                self.may_enter(barred, j) && self.reduced_cost(cost, &y1, j).abs() <= FACE_EPS && {
-                    let s2 = self.reduced_cost(&sec, &y2, j);
-                    match self.status[j] {
-                        Status::Lower => s2 < -FACE_EPS,
-                        Status::Upper => s2 > FACE_EPS,
-                        Status::Basic => false,
-                    }
+    /// Audit: the cached face set missed no face column. At the terminal
+    /// basis, with both multipliers recomputed, the full-scan rule (any
+    /// column that may enter, has `|d1| ≤ FACE_EPS` and violates the
+    /// secondary sign condition) finds nothing to enter.
+    #[cfg(feature = "audit")]
+    fn audit_face(&self, cost: &[f64], sec: &[f64], barred: &[bool]) {
+        let y1 = self.multipliers(cost);
+        let y2 = self.multipliers(sec);
+        let missed = (0..self.sys.total_cols).find(|&j| {
+            self.may_enter(barred, j) && self.reduced_cost(cost, &y1, j).abs() <= FACE_EPS && {
+                let d2 = self.reduced_cost(sec, &y2, j);
+                match self.status[j] {
+                    Status::Lower => d2 < -FACE_EPS,
+                    Status::Upper => d2 > FACE_EPS,
+                    Status::Basic => false,
                 }
-            });
-            let Some(q) = entering else {
-                return Ok(());
-            };
-            self.step(q)?;
-        }
-        Err(LpError::IterationLimit)
+            }
+        });
+        assert!(
+            missed.is_none(),
+            "lp audit: face cleanup stopped with column {missed:?} still eligible \
+             under the full-scan rule"
+        );
     }
 
     /// Phase-1 objective value: total residual in the artificial columns.

@@ -317,7 +317,7 @@ fn warm_start_matches_cold_bit_exact_on_drifted_data() {
     let base = reduce_shaped_lp([10.0, 15.0, 25.0]).solve().unwrap();
     assert!(!base.warm_started);
     let drifted = reduce_shaped_lp([11.0, 14.5, 24.5]);
-    let cold = drifted.solve_canonical().unwrap();
+    let cold = drifted.solve().unwrap();
     let warm = drifted.solve_from_basis(&base.basis).unwrap();
     assert!(warm.warm_started, "drifted basis should stay feasible");
     assert_eq!(warm.values, cold.values);
@@ -329,7 +329,7 @@ fn warm_start_matches_cold_bit_exact_on_drifted_data() {
 #[test]
 fn warm_start_identical_problem_needs_no_pivots() {
     let p = reduce_shaped_lp([10.0, 15.0, 25.0]);
-    let base = p.solve_canonical().unwrap();
+    let base = p.solve().unwrap();
     let warm = p.solve_from_basis(&base.basis).unwrap();
     assert!(warm.warm_started);
     // Pivot-into-basis work only; no simplex iterations were needed, so the
@@ -351,7 +351,7 @@ fn warm_start_falls_back_on_shape_mismatch() {
     assert!(!foreign.basis.compatible_with(5, &[]));
 
     let p = reduce_shaped_lp([10.0, 15.0, 25.0]);
-    let cold = p.solve_canonical().unwrap();
+    let cold = p.solve().unwrap();
     let warm = p.solve_from_basis(&foreign.basis).unwrap();
     assert!(!warm.warm_started);
     assert_eq!(warm.values, cold.values);
@@ -374,7 +374,7 @@ fn warm_start_falls_back_when_stored_basis_goes_infeasible() {
     };
     let base = solve_at(10.0).solve().unwrap(); // x = 4 basic, slack of cap row basic.
     let tight = solve_at(1.0); // Old vertex x = 4 violates x <= 1.
-    let cold = tight.solve_canonical().unwrap();
+    let cold = tight.solve().unwrap();
     let warm = tight.solve_from_basis(&base.basis).unwrap();
     assert!(!warm.warm_started, "infeasible stored basis must fall back");
     assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
@@ -414,7 +414,7 @@ fn warm_start_max_sense_flips_like_cold() {
     };
     let base = build(18.0).solve().unwrap();
     let drifted = build(18.5);
-    let cold = drifted.solve_canonical().unwrap();
+    let cold = drifted.solve().unwrap();
     let warm = drifted.solve_from_basis(&base.basis).unwrap();
     assert!(warm.warm_started);
     assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
@@ -515,6 +515,38 @@ fn brute_force_min(
             }
         }
     }
+}
+
+/// Solves `p` with both backends and asserts they agree: the same error
+/// kind, or bit-identical objective and values. Returns the sparse result.
+#[cfg(not(miri))]
+fn solve_both(p: &Problem) -> Result<Result<crate::Solution, LpError>, TestCaseError> {
+    let sparse = p.solve();
+    match (&sparse, p.solve_dense()) {
+        (Ok(s), Ok(d)) => {
+            assert_eq!(
+                s.objective.to_bits(),
+                d.objective.to_bits(),
+                "objective: sparse {} vs dense {}",
+                s.objective,
+                d.objective
+            );
+            for (i, (sv, dv)) in s.values.iter().zip(&d.values).enumerate() {
+                assert_eq!(
+                    sv.to_bits(),
+                    dv.to_bits(),
+                    "value {i}: sparse {sv} vs dense {dv}"
+                );
+            }
+        }
+        (Err(se), Err(de)) => assert_eq!(*se, de),
+        (s, d) => {
+            return Err(TestCaseError::fail(format!(
+                "outcome mismatch: sparse {s:?} vs dense {d:?}"
+            )));
+        }
+    }
+    Ok(sparse)
 }
 
 // The 256-case property sweep is far too slow under Miri's interpreter
@@ -666,7 +698,7 @@ proptest! {
         };
         let base = build(1.0).solve().unwrap();
         let drifted = build(scale_pct as f64 / 100.0);
-        let cold = drifted.solve_canonical().unwrap();
+        let cold = drifted.solve().unwrap();
         let warm = drifted.solve_from_basis(&base.basis).unwrap();
         prop_assert!(
             (warm.objective - cold.objective).abs() <= 1e-7 * (1.0 + cold.objective.abs()),
@@ -725,21 +757,63 @@ proptest! {
             let (coef, rel, rhs) = &seed_cons[0];
             add(coef, *rel, *rhs);
         }
-        match (p.solve(), p.solve_dense()) {
-            (Ok(s), Ok(d)) => {
-                prop_assert_eq!(s.objective.to_bits(), d.objective.to_bits(),
-                    "objective: sparse {} vs dense {}", s.objective, d.objective);
-                for (i, (sv, dv)) in s.values.iter().zip(&d.values).enumerate() {
-                    prop_assert_eq!(sv.to_bits(), dv.to_bits(),
-                        "value {}: sparse {} vs dense {}", i, sv, dv);
-                }
+        let _ = solve_both(&p)?;
+    }
+
+    /// Transport LPs (3–8 sources × 3–8 destinations) with costs drawn from
+    /// `{1, 2}` have large primary-optimal faces, so the canonical face
+    /// cleanup does real work on them, and `ub = 0` pins make some routes
+    /// dead. Sparse and dense must agree bit for bit, and a warm start from
+    /// the basis of a perturbed problem (one supply, one demand and one cost
+    /// changed) must return the cold answer bit for bit.
+    #[test]
+    fn flat_faces_canonicalize_identically(
+        sources in 3usize..9,
+        dests in 3usize..9,
+        costs in proptest::collection::vec(1u8..3, 64),
+        pins in proptest::collection::vec(0u8..7, 64),
+        supply in proptest::collection::vec(1i32..12, 8),
+        demand in proptest::collection::vec(1i32..8, 8),
+        bump in (0usize..64, 1i32..4),
+    ) {
+        let build = |bump: Option<(usize, i32)>| {
+            let var = |i: usize, j: usize| i * dests + j;
+            let mut cost: Vec<f64> = costs.iter().map(|&c| f64::from(c)).collect();
+            let mut supply: Vec<i32> = supply[..sources].to_vec();
+            let mut demand: Vec<i32> = demand[..dests].to_vec();
+            // Enough total supply; source 0 absorbs the deficit, so supply
+            // and demand are often exactly balanced.
+            let deficit = demand.iter().sum::<i32>() - supply.iter().sum::<i32>();
+            supply[0] += deficit.max(0);
+            if let Some((k, d)) = bump {
+                supply[k % sources] += d;
+                demand[k % dests] += d;
+                cost[k % (sources * dests)] = 3.0 - cost[k % (sources * dests)];
             }
-            (Err(se), Err(de)) => prop_assert_eq!(se, de),
-            (s, d) => {
-                return Err(TestCaseError::fail(format!(
-                    "outcome mismatch: sparse {s:?} vs dense {d:?}"
-                )));
+            let mut p = Problem::minimize(sources * dests);
+            let terms: Vec<(usize, f64)> = (0..sources * dests).map(|v| (v, cost[v])).collect();
+            p.set_objective(&terms);
+            for (i, &s) in supply.iter().enumerate() {
+                let row: Vec<(usize, f64)> = (0..dests).map(|j| (var(i, j), 1.0)).collect();
+                p.add_constraint(&row, Relation::Le, f64::from(s));
             }
+            for (j, &d) in demand.iter().enumerate() {
+                let col: Vec<(usize, f64)> = (0..sources).map(|i| (var(i, j), 1.0)).collect();
+                p.add_constraint(&col, Relation::Eq, f64::from(d));
+            }
+            for (v, _) in pins[..sources * dests].iter().enumerate().filter(|(_, &k)| k == 0) {
+                p.set_upper(v, 0.0);
+            }
+            p
+        };
+        let p = build(None);
+        let (Ok(cold), Ok(perturbed)) = (solve_both(&p)?, build(Some(bump)).solve()) else {
+            return Ok(());
+        };
+        let warm = p.solve_from_basis(&perturbed.basis).unwrap();
+        prop_assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
+        for (w, c) in warm.values.iter().zip(&cold.values) {
+            prop_assert_eq!(w.to_bits(), c.to_bits());
         }
     }
 
@@ -765,7 +839,7 @@ proptest! {
                 coef.iter().enumerate().map(|(i, &c)| (i, c as f64)).collect();
             p.add_constraint(&terms, Relation::Ge, *rhs as f64);
         }
-        let cold = p.solve_canonical().unwrap();
+        let cold = p.solve().unwrap();
         let warm = p.solve_from_basis(&cold.basis).unwrap();
         prop_assert!(warm.warm_started, "identical problem must accept its own basis");
         prop_assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
