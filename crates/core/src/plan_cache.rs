@@ -1,14 +1,13 @@
-//! Template-keyed plan caching and LP warm-starting (the recurring-query
-//! fast path; see DESIGN.md §11).
+//! Template-keyed plan caching (the recurring-query fast path; see
+//! DESIGN.md §11).
 //!
 //! Recurring analytics — the dominant workload the paper targets (§2:
 //! "analytics queries are often recurring") — present the scheduler with a
 //! stream of placement problems that are *structurally identical* and
 //! *numerically similar* across instances: the same DAG shape over the same
-//! sites, with data volumes that drift with the diurnal cycle. Re-running
-//! two-phase simplex from scratch on every instance wastes almost all of
-//! that similarity. This module keys solved placements by a two-level
-//! fingerprint and reuses them at three escalating costs:
+//! sites, with data volumes that drift with the diurnal cycle. This module
+//! keys solved placements by a two-level fingerprint and reuses a cached
+//! decision at two tiers before falling back to a cold LP solve:
 //!
 //! 1. **Exact hit** — the cached problem compares equal field-for-field to
 //!    the current one; the cached placement is returned verbatim. This tier
@@ -19,12 +18,8 @@
 //!    the current task counts ([`tetrium_jobs::largest_remainder_round`])
 //!    and volumes/times are rescaled. A patch whose WAN bytes would exceed
 //!    the current budget is rejected (it would overspend `ρ`) and the
-//!    lookup falls through to the warm tier.
-//! 3. **Warm start** — same template only: the most recently used entry's
-//!    optimal [`Basis`] seeds [`tetrium_lp::Problem::solve_from_basis`],
-//!    which skips simplex phase 1 entirely when the stored basis is still
-//!    feasible. The solver itself guarantees optimality (it re-prices and
-//!    re-optimizes), so this tier changes latency, never answers.
+//!    lookup misses.
+//! 3. **Miss** — the caller solves the LP cold and inserts the result.
 //!
 //! The two-level key separates *structure* from *numbers*:
 //! [`TemplateSig`] captures what makes two LPs share a constraint skeleton
@@ -39,7 +34,6 @@ use crate::map_placement::{assemble_map, MapPlacement, MapProblem};
 use crate::reduce_placement::{ReducePlacement, ReduceProblem};
 use std::collections::BTreeMap;
 use tetrium_jobs::largest_remainder_round;
-use tetrium_lp::Basis;
 
 /// How the scheduler uses the template cache (`--plan-cache`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,7 +45,7 @@ pub enum PlanCacheMode {
     /// to [`PlanCacheMode::Off`] bit for bit, so figure output must not
     /// change (CI asserts this).
     Exact,
-    /// Exact hits, patched near-hits and LP warm starts.
+    /// Exact hits and patched near-hits.
     Full,
 }
 
@@ -62,12 +56,12 @@ pub struct CacheStats {
     pub exact: usize,
     /// Solves short-circuited by rescaling a same-bucket placement.
     pub patched: usize,
-    /// Solves warm-started from a cached optimal basis.
+    /// Always 0: the warm-start tier is gone, and every solve the cache
+    /// does not answer is a cold [`CacheStats::miss`]. Kept because the
+    /// benchmark harness still reads it.
     pub warm: usize,
-    /// Cold solves (no usable entry, or the warm attempt fell back).
+    /// Cold solves (no usable entry).
     pub miss: usize,
-    /// Total simplex pivots spent across the warm-started solves.
-    pub warm_pivots: usize,
 }
 
 impl CacheStats {
@@ -78,8 +72,7 @@ impl CacheStats {
 }
 
 /// Structural fingerprint: two placement problems with equal template
-/// signatures build LPs over the same constraint skeleton, so an optimal
-/// basis for one is a plausible starting basis for the other.
+/// signatures build LPs over the same constraint skeleton.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TemplateSig {
     /// 0 = map, 1 = reduce.
@@ -98,6 +91,9 @@ pub struct TemplateSig {
     /// Map: `dest_limit + 1` (0 when unrestricted). Reduce: `network_only`.
     flags: u64,
 }
+
+/// The cache key: a placement problem's template and bucket fingerprints.
+pub type PlanKey = (TemplateSig, BucketSig);
 
 /// Numeric fingerprint: quantized continuous inputs. Same template + same
 /// bucket means the drift is mild enough that rescaling the cached
@@ -161,7 +157,7 @@ fn q_ratio(ratio: Option<f64>) -> u64 {
 }
 
 /// Fingerprints one map-stage placement problem.
-pub fn map_sigs(stage_index: usize, p: &MapProblem) -> (TemplateSig, BucketSig) {
+pub fn map_sigs(stage_index: usize, p: &MapProblem) -> PlanKey {
     let total: f64 = p.input_gb.iter().sum();
     let num_tasks: usize = p.tasks_from.iter().sum();
     let tsig = TemplateSig {
@@ -191,7 +187,7 @@ pub fn map_sigs(stage_index: usize, p: &MapProblem) -> (TemplateSig, BucketSig) 
 }
 
 /// Fingerprints one reduce-stage placement problem.
-pub fn reduce_sigs(stage_index: usize, p: &ReduceProblem) -> (TemplateSig, BucketSig) {
+pub fn reduce_sigs(stage_index: usize, p: &ReduceProblem) -> PlanKey {
     let total: f64 = p.shuffle_gb.iter().sum();
     let tsig = TemplateSig {
         kind: 1,
@@ -220,30 +216,14 @@ pub fn reduce_sigs(stage_index: usize, p: &ReduceProblem) -> (TemplateSig, Bucke
     (tsig, bsig)
 }
 
-/// Solver metadata returned alongside a placement by the warm-capable
-/// solve functions.
-#[derive(Debug, Clone, Default)]
-pub struct SolveMeta {
-    /// Optimal basis for seeding a future warm start (`None` when the
-    /// solve took a non-LP shortcut path).
-    pub basis: Option<Basis>,
-    /// Whether the solve actually ran from the supplied basis (a failed
-    /// warm attempt silently falls back to a cold solve).
-    pub warm_started: bool,
-    /// Simplex pivots spent.
-    pub pivots: usize,
-}
-
 enum Stored {
     Map {
         problem: MapProblem,
         placement: MapPlacement,
-        basis: Basis,
     },
     Reduce {
         problem: ReduceProblem,
         placement: ReducePlacement,
-        basis: Basis,
     },
 }
 
@@ -258,8 +238,6 @@ pub enum MapLookup {
     Exact(MapPlacement),
     /// Same bucket; cached split re-rounded and rescaled.
     Patched(MapPlacement),
-    /// Same template; warm-start the LP from this basis.
-    Warm(Basis),
     /// Nothing usable; solve cold.
     Miss,
 }
@@ -270,8 +248,6 @@ pub enum ReduceLookup {
     Exact(ReducePlacement),
     /// Same bucket; cached split re-rounded and rescaled.
     Patched(ReducePlacement),
-    /// Same template; warm-start the LP from this basis.
-    Warm(Basis),
     /// Nothing usable; solve cold.
     Miss,
 }
@@ -287,8 +263,7 @@ const CAP: usize = 256;
 /// one) and is cleared wholesale on cluster dynamics events.
 pub struct TemplateCache {
     mode: PlanCacheMode,
-    entries: BTreeMap<TemplateSig, BTreeMap<BucketSig, Entry>>,
-    len: usize,
+    entries: BTreeMap<PlanKey, Entry>,
     tick: u64,
     /// Hit/miss counters; drained per scheduling instance.
     pub stats: CacheStats,
@@ -300,7 +275,6 @@ impl TemplateCache {
         Self {
             mode,
             entries: BTreeMap::new(),
-            len: 0,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -313,161 +287,91 @@ impl TemplateCache {
 
     /// Number of cached placements.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Drops every entry (cluster dynamics invalidate all templates: the
     /// slot and bandwidth quantizations baked into every bucket no longer
-    /// describe the cluster, and a stale basis would only waste a failed
-    /// warm attempt).
+    /// describe the cluster).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.len = 0;
     }
 
-    /// Three-tier lookup for a map-stage problem.
-    pub fn lookup_map(
-        &mut self,
-        tsig: &TemplateSig,
-        bsig: &BucketSig,
-        p: &MapProblem,
-    ) -> MapLookup {
+    /// Exact-then-patched lookup for a map-stage problem.
+    pub fn lookup_map(&mut self, key: &PlanKey, p: &MapProblem) -> MapLookup {
         if self.mode == PlanCacheMode::Off {
             return MapLookup::Miss;
         }
         self.tick += 1;
-        let Some(buckets) = self.entries.get_mut(tsig) else {
+        let Some(e) = self.entries.get_mut(key) else {
             return MapLookup::Miss;
         };
-        if let Some(e) = buckets.get_mut(bsig) {
-            if let Stored::Map {
-                problem, placement, ..
-            } = &e.stored
-            {
-                if problem == p {
-                    e.last_used = self.tick;
-                    self.stats.exact += 1;
-                    return MapLookup::Exact(placement.clone());
-                }
-                if self.mode == PlanCacheMode::Full {
-                    if let Some(patched) = patch_map(problem, placement, p) {
-                        e.last_used = self.tick;
-                        self.stats.patched += 1;
-                        return MapLookup::Patched(patched);
-                    }
-                }
-            }
+        let Stored::Map { problem, placement } = &e.stored else {
+            return MapLookup::Miss;
+        };
+        if problem == p {
+            e.last_used = self.tick;
+            self.stats.exact += 1;
+            return MapLookup::Exact(placement.clone());
         }
         if self.mode == PlanCacheMode::Full {
-            // Warm hint: the most recently used same-template entry.
-            if let Some(basis) = buckets
-                .values()
-                .filter(|e| matches!(e.stored, Stored::Map { .. }))
-                .max_by_key(|e| e.last_used)
-                .map(|e| match &e.stored {
-                    Stored::Map { basis, .. } | Stored::Reduce { basis, .. } => basis.clone(),
-                })
-            {
-                return MapLookup::Warm(basis);
+            if let Some(patched) = patch_map(problem, placement, p) {
+                e.last_used = self.tick;
+                self.stats.patched += 1;
+                return MapLookup::Patched(patched);
             }
         }
         MapLookup::Miss
     }
 
-    /// Three-tier lookup for a reduce-stage problem.
-    pub fn lookup_reduce(
-        &mut self,
-        tsig: &TemplateSig,
-        bsig: &BucketSig,
-        p: &ReduceProblem,
-    ) -> ReduceLookup {
+    /// Exact-then-patched lookup for a reduce-stage problem.
+    pub fn lookup_reduce(&mut self, key: &PlanKey, p: &ReduceProblem) -> ReduceLookup {
         if self.mode == PlanCacheMode::Off {
             return ReduceLookup::Miss;
         }
         self.tick += 1;
-        let Some(buckets) = self.entries.get_mut(tsig) else {
+        let Some(e) = self.entries.get_mut(key) else {
             return ReduceLookup::Miss;
         };
-        if let Some(e) = buckets.get_mut(bsig) {
-            if let Stored::Reduce {
-                problem, placement, ..
-            } = &e.stored
-            {
-                if problem == p {
-                    e.last_used = self.tick;
-                    self.stats.exact += 1;
-                    return ReduceLookup::Exact(placement.clone());
-                }
-                if self.mode == PlanCacheMode::Full {
-                    if let Some(patched) = patch_reduce(problem, placement, p) {
-                        e.last_used = self.tick;
-                        self.stats.patched += 1;
-                        return ReduceLookup::Patched(patched);
-                    }
-                }
-            }
+        let Stored::Reduce { problem, placement } = &e.stored else {
+            return ReduceLookup::Miss;
+        };
+        if problem == p {
+            e.last_used = self.tick;
+            self.stats.exact += 1;
+            return ReduceLookup::Exact(placement.clone());
         }
         if self.mode == PlanCacheMode::Full {
-            if let Some(basis) = buckets
-                .values()
-                .filter(|e| matches!(e.stored, Stored::Reduce { .. }))
-                .max_by_key(|e| e.last_used)
-                .map(|e| match &e.stored {
-                    Stored::Map { basis, .. } | Stored::Reduce { basis, .. } => basis.clone(),
-                })
-            {
-                return ReduceLookup::Warm(basis);
+            if let Some(patched) = patch_reduce(problem, placement, p) {
+                e.last_used = self.tick;
+                self.stats.patched += 1;
+                return ReduceLookup::Patched(patched);
             }
         }
         ReduceLookup::Miss
     }
 
     /// Records a solved map placement under its fingerprint.
-    pub fn insert_map(
-        &mut self,
-        tsig: TemplateSig,
-        bsig: BucketSig,
-        problem: MapProblem,
-        placement: MapPlacement,
-        basis: Basis,
-    ) {
-        self.insert(
-            tsig,
-            bsig,
-            Stored::Map {
-                problem,
-                placement,
-                basis,
-            },
-        );
+    pub fn insert_map(&mut self, key: PlanKey, problem: MapProblem, placement: MapPlacement) {
+        self.insert(key, Stored::Map { problem, placement });
     }
 
     /// Records a solved reduce placement under its fingerprint.
     pub fn insert_reduce(
         &mut self,
-        tsig: TemplateSig,
-        bsig: BucketSig,
+        key: PlanKey,
         problem: ReduceProblem,
         placement: ReducePlacement,
-        basis: Basis,
     ) {
-        self.insert(
-            tsig,
-            bsig,
-            Stored::Reduce {
-                problem,
-                placement,
-                basis,
-            },
-        );
+        self.insert(key, Stored::Reduce { problem, placement });
     }
 
-    fn insert(&mut self, tsig: TemplateSig, bsig: BucketSig, stored: Stored) {
+    fn insert(&mut self, key: PlanKey, stored: Stored) {
         if self.mode == PlanCacheMode::Off {
             return;
         }
@@ -476,41 +380,21 @@ impl TemplateCache {
             stored,
             last_used: self.tick,
         };
-        let fresh = self
-            .entries
-            .entry(tsig)
-            .or_default()
-            .insert(bsig, entry)
-            .is_none();
-        if fresh {
-            self.len += 1;
-            if self.len > CAP {
-                self.evict_lru();
-            }
+        if self.entries.insert(key, entry).is_none() && self.entries.len() > CAP {
+            self.evict_lru();
         }
     }
 
-    /// Removes the least-recently-used entry. `BTreeMap` iteration order
-    /// makes the victim deterministic when ticks tie (they cannot: ticks
-    /// are unique), keeping runs reproducible.
+    /// Removes the least-recently-used entry. Ticks are unique, so the
+    /// victim is deterministic and runs stay reproducible.
     fn evict_lru(&mut self) {
         let victim = self
             .entries
             .iter()
-            .flat_map(|(t, buckets)| {
-                buckets
-                    .iter()
-                    .map(move |(b, e)| (e.last_used, t.clone(), b.clone()))
-            })
-            .min_by_key(|(used, _, _)| *used);
-        if let Some((_, t, b)) = victim {
-            if let Some(buckets) = self.entries.get_mut(&t) {
-                buckets.remove(&b);
-                if buckets.is_empty() {
-                    self.entries.remove(&t);
-                }
-                self.len -= 1;
-            }
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(k, _)| k.clone());
+        if let Some(k) = victim {
+            self.entries.remove(&k);
         }
     }
 }
@@ -590,10 +474,8 @@ fn patch_reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map_placement::{solve_map_placement, solve_map_placement_warm, MapProblem};
-    use crate::reduce_placement::{
-        solve_reduce_placement, solve_reduce_placement_warm, ReduceProblem,
-    };
+    use crate::map_placement::{solve_map_placement, MapProblem};
+    use crate::reduce_placement::{solve_reduce_placement, ReduceProblem};
 
     fn map_p(input: [f64; 3]) -> MapProblem {
         MapProblem {
@@ -625,9 +507,8 @@ mod tests {
     }
 
     fn solve_and_insert_map(cache: &mut TemplateCache, p: &MapProblem) -> MapPlacement {
-        let (tsig, bsig) = map_sigs(0, p);
-        let (pl, meta) = solve_map_placement_warm(p, None).unwrap();
-        cache.insert_map(tsig, bsig, p.clone(), pl.clone(), meta.basis.unwrap());
+        let pl = solve_map_placement(p).unwrap();
+        cache.insert_map(map_sigs(0, p), p.clone(), pl.clone());
         pl
     }
 
@@ -636,8 +517,8 @@ mod tests {
         let mut cache = TemplateCache::new(PlanCacheMode::Exact);
         let p = map_p([20.0, 30.0, 50.0]);
         let pl = solve_and_insert_map(&mut cache, &p);
-        let (tsig, bsig) = map_sigs(0, &p);
-        match cache.lookup_map(&tsig, &bsig, &p) {
+        let key = map_sigs(0, &p);
+        match cache.lookup_map(&key, &p) {
             MapLookup::Exact(hit) => assert_eq!(hit, pl),
             _ => panic!("expected exact hit"),
         }
@@ -645,17 +526,14 @@ mod tests {
     }
 
     #[test]
-    fn exact_mode_never_patches_or_warms() {
+    fn exact_mode_never_patches() {
         let mut cache = TemplateCache::new(PlanCacheMode::Exact);
         let p = map_p([20.0, 30.0, 50.0]);
         solve_and_insert_map(&mut cache, &p);
         // Mild drift: same bucket, different numbers.
         let drifted = map_p([20.2, 29.9, 50.1]);
-        let (tsig, bsig) = map_sigs(0, &drifted);
-        assert!(matches!(
-            cache.lookup_map(&tsig, &bsig, &drifted),
-            MapLookup::Miss
-        ));
+        let key = map_sigs(0, &drifted);
+        assert!(matches!(cache.lookup_map(&key, &drifted), MapLookup::Miss));
     }
 
     #[test]
@@ -664,8 +542,8 @@ mod tests {
         let p = map_p([20.0, 30.0, 50.0]);
         solve_and_insert_map(&mut cache, &p);
         let drifted = map_p([20.2, 29.9, 50.1]);
-        let (tsig, bsig) = map_sigs(0, &drifted);
-        let MapLookup::Patched(patched) = cache.lookup_map(&tsig, &bsig, &drifted) else {
+        let key = map_sigs(0, &drifted);
+        let MapLookup::Patched(patched) = cache.lookup_map(&key, &drifted) else {
             panic!("expected patched hit");
         };
         // Patched counts must respect the drifted per-source task totals.
@@ -679,7 +557,7 @@ mod tests {
         let mut cache = TemplateCache::new(PlanCacheMode::Full);
         // Cache under a generous budget, then shrink it so the cached
         // split's WAN bytes no longer fit; the patch tier must refuse and
-        // degrade to a warm hint.
+        // the lookup miss.
         let mut p = map_p([20.0, 30.0, 50.0]);
         p.wan_budget_gb = Some(100.0);
         let pl = solve_and_insert_map(&mut cache, &p);
@@ -689,18 +567,15 @@ mod tests {
         // Force the same bucket but an unaffordable budget is a different
         // bucket by construction (wan is quantized), so instead drift the
         // data while keeping the budget equal and verify the guard itself.
-        let (tsig, bsig) = map_sigs(0, &tight);
-        let looked = cache.lookup_map(&tsig, &bsig, &tight);
+        let key = map_sigs(0, &tight);
+        let looked = cache.lookup_map(&key, &tight);
         let MapLookup::Patched(patched) = looked else {
             panic!("drifted lookup should patch");
         };
         assert!(patched.wan_gb <= 100.0 + 1e-9);
         // Now the direct guard: a budget below the cached split's usage.
         let cached = cache.entries.values().next().unwrap();
-        let Stored::Map {
-            problem, placement, ..
-        } = &cached.values().next().unwrap().stored
-        else {
+        let Stored::Map { problem, placement } = &cached.stored else {
             panic!("map entry expected")
         };
         let mut broke = tight.clone();
@@ -709,43 +584,36 @@ mod tests {
     }
 
     #[test]
-    fn large_drift_falls_to_warm_tier_and_warm_solve_matches_cold() {
+    fn octave_drift_misses() {
         let mut cache = TemplateCache::new(PlanCacheMode::Full);
         let p = map_p([20.0, 30.0, 50.0]);
         solve_and_insert_map(&mut cache, &p);
-        // Octave-level drift: different bucket, same template.
+        // Octave-level drift: same template, different bucket.
         let far = map_p([50.0, 80.0, 120.0]);
-        let (tsig, bsig) = map_sigs(0, &far);
-        let MapLookup::Warm(basis) = cache.lookup_map(&tsig, &bsig, &far) else {
-            panic!("expected warm hint");
-        };
-        let (warm, meta) = solve_map_placement_warm(&far, Some(&basis)).unwrap();
-        let cold = solve_map_placement(&far).unwrap();
-        assert!(meta.warm_started);
-        assert_eq!(warm, cold, "warm-started solve must be bit-exact");
+        let key = map_sigs(0, &far);
+        assert_eq!(key.0, map_sigs(0, &p).0);
+        assert!(matches!(cache.lookup_map(&key, &far), MapLookup::Miss));
+        assert_eq!(cache.stats.take(), CacheStats::default());
     }
 
     #[test]
-    fn reduce_exact_and_warm_tiers() {
+    fn reduce_exact_hit_and_octave_drift_miss() {
         let mut cache = TemplateCache::new(PlanCacheMode::Full);
         let p = reduce_p([10.0, 15.0, 25.0]);
-        let (tsig, bsig) = reduce_sigs(1, &p);
-        let (pl, meta) = solve_reduce_placement_warm(&p, None).unwrap();
-        cache.insert_reduce(tsig, bsig, p.clone(), pl.clone(), meta.basis.unwrap());
-        let (tsig, bsig) = reduce_sigs(1, &p);
+        let pl = solve_reduce_placement(&p).unwrap();
+        cache.insert_reduce(reduce_sigs(1, &p), p.clone(), pl.clone());
+        let key = reduce_sigs(1, &p);
         assert!(matches!(
-            cache.lookup_reduce(&tsig, &bsig, &p),
+            cache.lookup_reduce(&key, &p),
             ReduceLookup::Exact(hit) if hit == pl
         ));
         let far = reduce_p([30.0, 40.0, 70.0]);
-        let (tsig, bsig) = reduce_sigs(1, &far);
-        let ReduceLookup::Warm(basis) = cache.lookup_reduce(&tsig, &bsig, &far) else {
-            panic!("expected warm hint");
-        };
-        let (warm, meta) = solve_reduce_placement_warm(&far, Some(&basis)).unwrap();
-        let cold = solve_reduce_placement(&far).unwrap();
-        assert!(meta.warm_started);
-        assert_eq!(warm, cold);
+        let key = reduce_sigs(1, &far);
+        assert_eq!(key.0, reduce_sigs(1, &p).0);
+        assert!(matches!(
+            cache.lookup_reduce(&key, &far),
+            ReduceLookup::Miss
+        ));
     }
 
     #[test]
@@ -753,37 +621,26 @@ mod tests {
         let mut cache = TemplateCache::new(PlanCacheMode::Full);
         let p = map_p([20.0, 30.0, 50.0]);
         solve_and_insert_map(&mut cache, &p);
-        let (tsig, bsig) = map_sigs(3, &p);
-        assert!(matches!(
-            cache.lookup_map(&tsig, &bsig, &p),
-            MapLookup::Miss
-        ));
+        let key = map_sigs(3, &p);
+        assert!(matches!(cache.lookup_map(&key, &p), MapLookup::Miss));
     }
 
     #[test]
     fn capacity_is_bounded_and_eviction_is_lru() {
         let mut cache = TemplateCache::new(PlanCacheMode::Full);
         let base = map_p([20.0, 30.0, 50.0]);
-        let (pl, meta) = solve_map_placement_warm(&base, None).unwrap();
-        let basis = meta.basis.unwrap();
+        let pl = solve_map_placement(&base).unwrap();
         for i in 0..(CAP + 40) {
             // Distinct templates via the stage index.
-            let (tsig, bsig) = map_sigs(i, &base);
-            cache.insert_map(tsig, bsig, base.clone(), pl.clone(), basis.clone());
+            cache.insert_map(map_sigs(i, &base), base.clone(), pl.clone());
             assert!(cache.len() <= CAP);
         }
         assert_eq!(cache.len(), CAP);
         // The oldest entries (lowest stage indices) were evicted.
-        let (tsig, bsig) = map_sigs(0, &base);
-        assert!(matches!(
-            cache.lookup_map(&tsig, &bsig, &base),
-            MapLookup::Miss
-        ));
-        let (tsig, bsig) = map_sigs(CAP + 39, &base);
-        assert!(matches!(
-            cache.lookup_map(&tsig, &bsig, &base),
-            MapLookup::Exact(_)
-        ));
+        let key = map_sigs(0, &base);
+        assert!(matches!(cache.lookup_map(&key, &base), MapLookup::Miss));
+        let key = map_sigs(CAP + 39, &base);
+        assert!(matches!(cache.lookup_map(&key, &base), MapLookup::Exact(_)));
     }
 
     #[test]
@@ -792,11 +649,8 @@ mod tests {
         let p = map_p([20.0, 30.0, 50.0]);
         solve_and_insert_map(&mut cache, &p);
         assert!(cache.is_empty());
-        let (tsig, bsig) = map_sigs(0, &p);
-        assert!(matches!(
-            cache.lookup_map(&tsig, &bsig, &p),
-            MapLookup::Miss
-        ));
+        let key = map_sigs(0, &p);
+        assert!(matches!(cache.lookup_map(&key, &p), MapLookup::Miss));
     }
 
     #[test]
@@ -807,10 +661,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
-        let (tsig, bsig) = map_sigs(0, &p);
-        assert!(matches!(
-            cache.lookup_map(&tsig, &bsig, &p),
-            MapLookup::Miss
-        ));
+        let key = map_sigs(0, &p);
+        assert!(matches!(cache.lookup_map(&key, &p), MapLookup::Miss));
     }
 }

@@ -8,9 +8,8 @@
 //! compute term.
 
 use crate::analytic::StageTimes;
-use crate::plan_cache::SolveMeta;
 use tetrium_jobs::largest_remainder_round;
-use tetrium_lp::{Basis, LpError, Problem, Relation};
+use tetrium_lp::{LpError, Problem, Relation};
 
 /// Inputs of one reduce-stage placement decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,6 +40,14 @@ pub struct ReduceProblem {
     pub next_stage_out_gb: Option<f64>,
 }
 
+impl ReduceProblem {
+    /// Whether [`solve_reduce_placement`] runs the LP for this problem; a
+    /// stage with no tasks left gets an empty placement instead.
+    pub(crate) fn needs_lp(&self) -> bool {
+        self.num_tasks > 0
+    }
+}
+
 /// Result of a reduce-stage placement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReducePlacement {
@@ -69,44 +76,23 @@ pub struct ReducePlacement {
 /// [`LpError::Infeasible`] (callers should budget with [`crate::wan_budget`],
 /// which never goes below the minimum).
 pub fn solve_reduce_placement(p: &ReduceProblem) -> Result<ReducePlacement, LpError> {
-    solve_reduce_placement_warm(p, None).map(|(placement, _)| placement)
-}
-
-/// Like [`solve_reduce_placement`], but optionally warm-starts the LP from
-/// a cached optimal [`Basis`] and reports solver metadata for the plan
-/// cache — see [`crate::map_placement::solve_map_placement_warm`].
-///
-/// # Panics
-///
-/// Panics if vector lengths disagree.
-///
-/// # Errors
-///
-/// Propagates LP failures, exactly as [`solve_reduce_placement`].
-pub fn solve_reduce_placement_warm(
-    p: &ReduceProblem,
-    warm: Option<&Basis>,
-) -> Result<(ReducePlacement, SolveMeta), LpError> {
     let n = p.shuffle_gb.len();
     assert_eq!(p.up_gbps.len(), n);
     assert_eq!(p.down_gbps.len(), n);
     assert_eq!(p.slots.len(), n);
     let total: f64 = p.shuffle_gb.iter().sum();
 
-    if p.num_tasks == 0 {
-        return Ok((
-            ReducePlacement {
-                fractions: vec![0.0; n],
-                times: StageTimes {
-                    transfer: 0.0,
-                    compute: 0.0,
-                },
-                tasks_at: vec![0; n],
-                slot_demand: vec![0; n],
-                wan_gb: 0.0,
+    if !p.needs_lp() {
+        return Ok(ReducePlacement {
+            fractions: vec![0.0; n],
+            times: StageTimes {
+                transfer: 0.0,
+                compute: 0.0,
             },
-            SolveMeta::default(),
-        ));
+            tasks_at: vec![0; n],
+            slot_demand: vec![0; n],
+            wan_gb: 0.0,
+        });
     }
 
     // Variables: r[x] (n), then T_shufl, T_red, T_next.
@@ -167,10 +153,7 @@ pub fn solve_reduce_placement_warm(
         lp.add_constraint(&terms, Relation::Le, w.max(0.0) - total);
     }
 
-    let sol = match warm {
-        Some(b) => lp.solve_from_basis(b)?,
-        None => lp.solve()?,
-    };
+    let sol = lp.solve()?;
     let fractions: Vec<f64> = (0..n).map(|x| sol.values[x].max(0.0)).collect();
     let tasks_at = largest_remainder_round(&fractions, p.num_tasks);
     let wan_gb: f64 = (0..n).map(|x| p.shuffle_gb[x] * (1.0 - fractions[x])).sum();
@@ -185,24 +168,16 @@ pub fn solve_reduce_placement_warm(
         sol.values[t_red].max(0.0)
     };
     let slot_demand = (0..n).map(|x| p.slots[x].min(tasks_at[x])).collect();
-    let meta = SolveMeta {
-        warm_started: sol.warm_started,
-        pivots: sol.pivots,
-        basis: Some(sol.basis),
-    };
-    Ok((
-        ReducePlacement {
-            fractions,
-            times: StageTimes {
-                transfer: sol.values[t_shufl].max(0.0),
-                compute,
-            },
-            tasks_at,
-            slot_demand,
-            wan_gb,
+    Ok(ReducePlacement {
+        fractions,
+        times: StageTimes {
+            transfer: sol.values[t_shufl].max(0.0),
+            compute,
         },
-        meta,
-    ))
+        tasks_at,
+        slot_demand,
+        wan_gb,
+    })
 }
 
 #[cfg(test)]

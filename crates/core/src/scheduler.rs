@@ -23,16 +23,12 @@
 
 use crate::analytic::{evaluate_map_counts, evaluate_reduce_counts};
 use crate::dynamics::limited_update;
-use crate::map_placement::{
-    solve_map_placement, solve_map_placement_warm, MapPlacement, MapProblem,
-};
+use crate::map_placement::{solve_map_placement, MapPlacement, MapProblem};
 use crate::ordering::{order_map_tasks, order_reduce_tasks, MapOrdering, ReduceOrdering};
 use crate::plan_cache::{
     map_sigs, reduce_sigs, MapLookup, PlanCacheMode, ReduceLookup, TemplateCache,
 };
-use crate::reduce_placement::{
-    solve_reduce_placement, solve_reduce_placement_warm, ReducePlacement, ReduceProblem,
-};
+use crate::reduce_placement::{solve_reduce_placement, ReducePlacement, ReduceProblem};
 use crate::reverse::{plan_best, ReduceStageSpec};
 use crate::wan::{reduce_min_wan, wan_budget, WanKnob};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -102,10 +98,10 @@ pub struct TetriumConfig {
     /// forward planner's blind spot this mitigates). On by default; turn
     /// off to reproduce the strictly myopic stage-by-stage formulation.
     pub lookahead: bool,
-    /// Template-keyed plan caching and LP warm-starting across scheduling
-    /// instances (see [`crate::plan_cache`]). Off by default; `Exact` only
-    /// short-circuits field-identical solves (placements are bit-identical
-    /// to `Off`), `Full` adds rescaled near-hits and warm starts.
+    /// Template-keyed plan caching across scheduling instances (see
+    /// [`crate::plan_cache`]). Off by default; `Exact` only short-circuits
+    /// field-identical solves (placements are bit-identical to `Off`),
+    /// `Full` adds rescaled near-hits.
     pub plan_cache: PlanCacheMode,
 }
 
@@ -509,10 +505,8 @@ impl TetriumScheduler {
     }
 
     /// Template-cache-aware map solve: exact/patched hits skip the solver,
-    /// template near-misses warm-start it, misses solve cold. Every solved
-    /// placement (cold or warm) is inserted for future instances. Under the
-    /// `audit` feature each warm-started solve is re-run cold and the two
-    /// placements must agree bit for bit.
+    /// misses solve cold. Every LP-solved placement is inserted for future
+    /// instances.
     fn solve_map_cached(
         &mut self,
         stage_index: usize,
@@ -524,35 +518,15 @@ impl TetriumScheduler {
             self.tmpl.stats.miss += 1;
             return solve_map_placement(problem).ok();
         }
-        let (tsig, bsig) = map_sigs(stage_index, problem);
-        let warm = match self.tmpl.lookup_map(&tsig, &bsig, problem) {
-            MapLookup::Exact(p) | MapLookup::Patched(p) => return Some(p),
-            MapLookup::Warm(b) => Some(b),
-            MapLookup::Miss => None,
-        };
-        let (placement, meta) = solve_map_placement_warm(problem, warm.as_ref()).ok()?;
-        if meta.warm_started {
-            self.tmpl.stats.warm += 1;
-            self.tmpl.stats.warm_pivots += meta.pivots;
-            if tetrium_sim::audit_enabled() {
-                let cold = solve_map_placement(problem)
-                    .expect("audit: cold solve must succeed where the warm solve did");
-                assert!(
-                    placement == cold,
-                    "plan-cache audit: warm-started map solve diverged from cold \
-                     (warm {:?} vs cold {:?}) warm basis {:?} problem {:?}",
-                    placement.times,
-                    cold.times,
-                    meta.basis,
-                    problem
-                );
-            }
-        } else {
-            self.tmpl.stats.miss += 1;
+        let key = map_sigs(stage_index, problem);
+        if let MapLookup::Exact(p) | MapLookup::Patched(p) = self.tmpl.lookup_map(&key, problem) {
+            return Some(p);
         }
-        if let Some(basis) = meta.basis {
+        let placement = solve_map_placement(problem).ok()?;
+        self.tmpl.stats.miss += 1;
+        if problem.needs_lp() {
             self.tmpl
-                .insert_map(tsig, bsig, problem.clone(), placement.clone(), basis);
+                .insert_map(key, problem.clone(), placement.clone());
         }
         Some(placement)
     }
@@ -567,31 +541,17 @@ impl TetriumScheduler {
             self.tmpl.stats.miss += 1;
             return solve_reduce_placement(problem).ok();
         }
-        let (tsig, bsig) = reduce_sigs(stage_index, problem);
-        let warm = match self.tmpl.lookup_reduce(&tsig, &bsig, problem) {
-            ReduceLookup::Exact(p) | ReduceLookup::Patched(p) => return Some(p),
-            ReduceLookup::Warm(b) => Some(b),
-            ReduceLookup::Miss => None,
-        };
-        let (placement, meta) = solve_reduce_placement_warm(problem, warm.as_ref()).ok()?;
-        if meta.warm_started {
-            self.tmpl.stats.warm += 1;
-            self.tmpl.stats.warm_pivots += meta.pivots;
-            if tetrium_sim::audit_enabled() {
-                let cold = solve_reduce_placement(problem)
-                    .expect("audit: cold solve must succeed where the warm solve did");
-                assert!(
-                    placement == cold,
-                    "plan-cache audit: warm-started reduce solve diverged from cold \
-                     (warm {placement:?} vs cold {cold:?}) problem {problem:?}"
-                );
-            }
-        } else {
-            self.tmpl.stats.miss += 1;
+        let key = reduce_sigs(stage_index, problem);
+        if let ReduceLookup::Exact(p) | ReduceLookup::Patched(p) =
+            self.tmpl.lookup_reduce(&key, problem)
+        {
+            return Some(p);
         }
-        if let Some(basis) = meta.basis {
+        let placement = solve_reduce_placement(problem).ok()?;
+        self.tmpl.stats.miss += 1;
+        if problem.needs_lp() {
             self.tmpl
-                .insert_reduce(tsig, bsig, problem.clone(), placement.clone(), basis);
+                .insert_reduce(key, problem.clone(), placement.clone());
         }
         Some(placement)
     }
@@ -853,8 +813,7 @@ impl Scheduler for TetriumScheduler {
             self.restricted = true;
             // Cluster dynamics invalidate every template: the slot
             // quantizations embedded in the fingerprints no longer describe
-            // the cluster, and a stale basis would only waste a failed warm
-            // attempt.
+            // the cluster.
             self.tmpl.clear();
         }
 
@@ -1089,7 +1048,7 @@ impl Scheduler for TetriumScheduler {
             tmpl_patched: tmpl.patched,
             tmpl_warm: tmpl.warm,
             tmpl_miss: tmpl.miss,
-            warm_pivots: tmpl.warm_pivots,
+            warm_pivots: 0,
         });
         plans
     }
@@ -1677,6 +1636,6 @@ mod tests {
         // against the *new* slot vector only.
         assert!(sched.template_cache_len() >= 1);
         let stats = sched.last_template_stats();
-        assert_eq!(stats.exact + stats.patched + stats.warm, 0, "{stats:?}");
+        assert_eq!(stats.exact + stats.patched, 0, "{stats:?}");
     }
 }

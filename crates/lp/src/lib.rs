@@ -20,9 +20,10 @@
 //! - infeasibility and unboundedness detection,
 //! - Bland's anti-cycling rule (engaged after a Dantzig warm-up) so
 //!   degenerate placement instances cannot loop forever,
-//! - basis export and warm-started re-solves ([`Problem::solve_from_basis`])
-//!   with canonical extraction, so a warm solve of drifted data returns
-//!   bit-identical answers to a cold solve reaching the same vertex.
+//! - canonical extraction: a face cleanup plus a refinement from the
+//!   original data make the reported values a function of the problem, not
+//!   of the pivot path, so the sparse solver and the dense oracle return
+//!   bit-identical answers.
 //!
 //! # Examples
 //!
@@ -47,7 +48,7 @@ mod sparsela;
 mod types;
 
 pub use problem::{Constraint, Problem, Relation, Sense};
-pub use types::{Basis, LpError, Solution};
+pub use types::{LpError, Solution};
 
 #[cfg(test)]
 mod tests;

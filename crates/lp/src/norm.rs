@@ -228,31 +228,6 @@ impl NormSystem {
             ColDef::RowUnit { row, sign } => f(row, sign),
         }
     }
-
-    /// Relation signature over the pre-flip (user-facing) relations —
-    /// identical to [`crate::types::relation_sig`] over the originating
-    /// constraint list.
-    pub fn rows_sig(&self) -> u64 {
-        let mut sig: u64 = 0xcbf29ce484222325;
-        for row in &self.rows {
-            let rel = if row.flipped {
-                match row.rel {
-                    Relation::Le => Relation::Ge,
-                    Relation::Ge => Relation::Le,
-                    Relation::Eq => Relation::Eq,
-                }
-            } else {
-                row.rel
-            };
-            let code = match rel {
-                Relation::Le => 1u64,
-                Relation::Ge => 2,
-                Relation::Eq => 3,
-            };
-            sig = sig.wrapping_mul(0x100000001b3).wrapping_add(code);
-        }
-        sig
-    }
 }
 
 /// Factorizes the basis matrix `B` given by `basis_cols` against the
@@ -362,14 +337,14 @@ pub(crate) fn package_solution(
 /// Canonical refinement: re-derives solution values and duals for a known
 /// terminal basis directly from the normalized constraint data. At a
 /// primal-degenerate optimal vertex several bases represent the same point,
-/// and two pivot paths (warm vs cold, sparse vs dense) can legitimately
-/// terminate at different ones; refining from different basis matrices then
-/// disagrees in the last ulps. To make the reported *values* a function of
-/// the vertex rather than of the pivot path, the terminal basis is replaced
-/// before the value solve by a canonical one: the vertex's support columns
-/// (basic at a nonzero value, hence basic in *every* basis of this vertex)
-/// completed to rank `m` by scanning the non-artificial columns in fixed
-/// index order — a pure function of the support set. Any nonsingular
+/// and two pivot paths (the sparse solver's and the dense oracle's) can
+/// legitimately terminate at different ones; refining from different basis
+/// matrices then disagrees in the last ulps. To make the reported *values* a
+/// function of the vertex rather than of the pivot path, the terminal basis
+/// is replaced before the value solve by a canonical one: the vertex's
+/// support columns (basic at a nonzero value, hence basic in *every* basis
+/// of this vertex) completed to rank `m` by scanning the non-artificial
+/// columns in fixed index order — a pure function of the support set. Any nonsingular
 /// completion yields the same basic solution (the completion columns sit at
 /// zero in it), so values and objective come out bit-identical for every
 /// pivot path that reaches this vertex.
@@ -379,7 +354,7 @@ pub(crate) fn package_solution(
 /// dual-feasible. They are refined from the terminal basis instead, which
 /// keeps them valid shadow prices; at a dual-degenerate optimum two pivot
 /// paths may then report different (equally valid) dual vectors, which is
-/// why the audit oracles compare values and objectives, not duals.
+/// why the audit oracle compares values and objectives, not duals.
 pub(crate) fn refine_canonical(
     sys: &NormSystem,
     objective: &[f64],

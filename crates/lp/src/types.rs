@@ -1,9 +1,6 @@
-//! Shared solver types: errors, exported bases, solutions, tolerances and
-//! layout signatures. Used by both the sparse revised simplex
-//! ([`crate::revised`], the default path) and the retained dense tableau
-//! solver ([`crate::simplex`], the audit oracle).
-
-use crate::problem::{Constraint, Relation};
+//! Shared solver types: errors, solutions and tolerances. Used by both the
+//! sparse revised simplex ([`crate::revised`], the default path) and the
+//! retained dense tableau solver ([`crate::simplex`], the audit oracle).
 
 /// Absolute tolerance used for all feasibility and pivoting comparisons.
 ///
@@ -45,83 +42,6 @@ impl std::fmt::Display for LpError {
 
 impl std::error::Error for LpError {}
 
-/// An optimal simplex basis, exportable from one solve and usable to
-/// warm-start another solve of a structurally identical problem.
-///
-/// Opaque on purpose: the column indices refer to the solver's internal
-/// `[structural | slack | artificial]` layout, which is only meaningful for
-/// a problem with the same variable count and relation sequence. Problems
-/// with upper-bounded variables additionally record which variables sat at
-/// their upper bound at the optimum, so a warm start can re-establish the
-/// full vertex, and a bound-pattern signature so a basis is only replayed
-/// against a problem whose bound structure matches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Basis {
-    /// Sorted basic column indices.
-    pub(crate) cols: Vec<usize>,
-    /// Structural variable count of the originating problem.
-    pub(crate) num_vars: usize,
-    /// Signature of the constraint-relation sequence (layout determinant).
-    pub(crate) sig: u64,
-    /// Signature of the variable bound pattern (none / pinned / finite).
-    pub(crate) bsig: u64,
-    /// Sorted structural columns nonbasic at a positive finite upper bound.
-    pub(crate) upper: Vec<usize>,
-}
-
-impl Basis {
-    /// Number of basic columns (equals the surviving row count of the
-    /// originating solve).
-    pub fn num_basic(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Whether this basis can even be *attempted* against a problem with
-    /// `num_vars` variables and the given constraints (shape check only;
-    /// feasibility is decided during the warm solve itself). Bound patterns
-    /// are checked separately by the warm solve — a basis exported from an
-    /// unbounded-variable problem carries the no-bounds signature.
-    pub fn compatible_with(&self, num_vars: usize, constraints: &[Constraint]) -> bool {
-        self.num_vars == num_vars
-            && self.cols.len() == constraints.len()
-            && self.sig == relation_sig(constraints)
-    }
-}
-
-/// Signature of a constraint list's relation sequence; together with the
-/// variable count it fully determines the internal column layout.
-pub(crate) fn relation_sig(constraints: &[Constraint]) -> u64 {
-    let mut sig: u64 = 0xcbf29ce484222325;
-    for c in constraints {
-        let code = match c.relation {
-            Relation::Le => 1u64,
-            Relation::Ge => 2,
-            Relation::Eq => 3,
-        };
-        sig = sig.wrapping_mul(0x100000001b3).wrapping_add(code);
-    }
-    sig
-}
-
-/// Signature of a problem's variable-bound *pattern*: per variable, whether
-/// it is unbounded above, pinned to zero, or carries a positive finite
-/// upper bound. Bound *values* may drift between warm-started solves (like
-/// coefficients and right-hand sides do); the pattern is structural.
-pub(crate) fn bounds_sig(upper: &[f64]) -> u64 {
-    let mut sig: u64 = 0x9e3779b97f4a7c15;
-    for &u in upper {
-        let code = if u.is_infinite() {
-            0u64
-        } else if u == 0.0 {
-            1
-        } else {
-            2
-        };
-        sig = sig.wrapping_mul(0x100000001b3).wrapping_add(code);
-    }
-    sig
-}
-
 /// An optimal solution to a linear program.
 #[derive(Debug, Clone)]
 pub struct Solution {
@@ -139,10 +59,4 @@ pub struct Solution {
     /// Number of simplex iterations performed across both phases (basis
     /// changes plus bound flips).
     pub pivots: usize,
-    /// The optimal basis, for warm-starting a later structurally identical
-    /// solve via [`crate::Problem::solve_from_basis`].
-    pub basis: Basis,
-    /// Whether this solve actually started from a supplied basis (`false`
-    /// for cold solves and for warm attempts that fell back).
-    pub warm_started: bool,
 }

@@ -158,11 +158,13 @@ pub struct PlannerRecord {
     pub tmpl_exact: usize,
     /// Template-cache patched hits (cached split rescaled).
     pub tmpl_patched: usize,
-    /// Solves warm-started from a cached optimal basis.
+    /// Always 0: the plan cache no longer warm-starts solves, so every
+    /// solve it does not answer counts in `tmpl_miss`. Kept because the
+    /// benchmark harness still reads it.
     pub tmpl_warm: usize,
     /// Cold solves through the template-cache path.
     pub tmpl_miss: usize,
-    /// Simplex pivots spent across the instance's warm-started solves.
+    /// Always 0, for the same reason as `tmpl_warm`.
     pub warm_pivots: usize,
 }
 

@@ -79,3 +79,29 @@ fn wan_knob_budget_endpoints_match_closed_forms() {
     assert_eq!(wan_budget(WanKnob::new(0.0), w_min, total), w_min);
     assert_eq!(wan_budget(WanKnob::new(1.0), w_min, total), total);
 }
+
+/// A trace whose source and job names are not ASCII survives the JSON
+/// rendering byte for byte, through the validator and into a scenario.
+#[test]
+fn non_ascii_trace_round_trips_through_json() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use tetrium::workload::ingest::{parse_trace_str, scenario_from_trace, trace_from_jobs};
+    use tetrium::workload::{trace_like_jobs, TraceParams, ValidatorConfig};
+
+    let cluster = tetrium::cluster::ec2_eight_regions();
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut jobs = trace_like_jobs(&cluster, 3, &TraceParams::default(), &mut rng);
+    let names = ["requête-é", "集計-日本", "tablero-🎉"];
+    for (job, name) in jobs.iter_mut().zip(names) {
+        job.name = name.to_string();
+    }
+    let trace = trace_from_jobs(&jobs, cluster.len(), "journal-café-東京");
+    let back = parse_trace_str(&trace.to_json()).unwrap();
+    assert_eq!(back, trace);
+    assert_eq!(back.source, "journal-café-東京");
+    assert_eq!(back.rows[0].job.as_deref(), Some("requête-é"));
+    let scenario = scenario_from_trace(&back, cluster, &ValidatorConfig::default()).unwrap();
+    let got: Vec<&str> = scenario.jobs.iter().map(|j| j.name.as_str()).collect();
+    assert_eq!(got, names);
+}
