@@ -7,9 +7,13 @@
 //! revised simplex** ([`revised`]): CSC-stored constraints, an LU +
 //! product-form basis inverse with periodic refactorization, and native
 //! bounded-variable handling so box constraints (including `ub = 0` pins)
-//! never materialize as rows. The original dense tableau survives as an
-//! independent audit oracle ([`Problem::solve_dense`], checked automatically
-//! under `--features audit`).
+//! never materialize as rows. A presolve ([`presolve`]) first sets aside the
+//! rows that cannot bind (`≤` rows that hold for every `x ≥ 0`, `=` rows
+//! that only fix one column), so the simplex runs on the rest while the
+//! answer is still extracted on the full system. The original dense
+//! tableau survives, unreduced, as an independent audit oracle
+//! ([`Problem::solve_dense`], checked automatically under
+//! `--features audit`).
 //!
 //! The solver supports:
 //!
@@ -41,6 +45,7 @@
 //! ```
 
 mod norm;
+mod presolve;
 mod problem;
 mod revised;
 mod simplex;

@@ -72,8 +72,7 @@ impl NormSystem {
     /// unit max-magnitude rescale — arithmetic identical to the historical
     /// dense densify-and-rescale) and assembles the column layout.
     pub fn build(num_vars: usize, constraints: &[Constraint]) -> Self {
-        let m = constraints.len();
-        let mut rows: Vec<Row> = Vec::with_capacity(m);
+        let mut rows: Vec<Row> = Vec::with_capacity(constraints.len());
         let mut acc: Vec<(u32, f64)> = Vec::new();
         for c in constraints {
             // Sum duplicate indices in encounter order (stable sort), then
@@ -121,7 +120,14 @@ impl NormSystem {
                 flipped,
             });
         }
+        Self::from_rows(num_vars, rows)
+    }
 
+    /// Assembles the CSC and the column layout over already-normalized
+    /// rows. [`NormSystem::build`] and the presolve's reduced system
+    /// ([`crate::presolve`]) both end here.
+    pub fn from_rows(num_vars: usize, rows: Vec<Row>) -> Self {
+        let m = rows.len();
         // Transpose the row terms into CSC over structural columns.
         let mut col_ptr = vec![0usize; num_vars + 1];
         for row in &rows {
@@ -318,8 +324,13 @@ pub(crate) fn package_solution(
         .zip(objective)
         .map(|(x, c)| x * c)
         .sum::<f64>();
-    let duals = sys
-        .rows
+    Some((values, user_duals(sys, y), objective_value))
+}
+
+/// Maps multipliers in normalized row space back to the caller's
+/// constraints: undo each row's rescale and, for a flipped row, its sign.
+pub(crate) fn user_duals(sys: &NormSystem, y: &[f64]) -> Vec<f64> {
+    sys.rows
         .iter()
         .zip(y)
         .map(|(row, &yr)| {
@@ -330,8 +341,28 @@ pub(crate) fn package_solution(
                 v
             }
         })
-        .collect();
-    Some((values, duals, objective_value))
+        .collect()
+}
+
+/// Whether `values` satisfies every normalized row to within
+/// `1e-6 · (1 + Σ|a_j x_j|)`, a tolerance relative to the row's activity.
+/// NaN anywhere fails the check.
+pub(crate) fn rows_satisfied(sys: &NormSystem, values: &[f64]) -> bool {
+    sys.rows.iter().all(|row| {
+        let (lhs, activity) = row
+            .terms
+            .iter()
+            .fold((0.0f64, 0.0f64), |(lhs, act), &(j, a)| {
+                let t = a * values[j as usize];
+                (lhs + t, act + t.abs())
+            });
+        let tol = 1e-6 * (1.0 + activity);
+        match row.rel {
+            Relation::Le => lhs - row.rhs <= tol,
+            Relation::Ge => row.rhs - lhs <= tol,
+            Relation::Eq => (lhs - row.rhs).abs() <= tol,
+        }
+    })
 }
 
 /// Canonical refinement: re-derives solution values and duals for a known

@@ -1,8 +1,15 @@
 //! Sparse bounded-variable revised simplex — the default solver backend.
 //!
-//! Works on the shared [`NormSystem`] (CSC-stored normalized constraints,
+//! Works on a [`NormSystem`] (CSC-stored normalized constraints,
 //! `[structural | slack | artificial]` column layout) and never materializes
-//! a tableau. The basis inverse is represented as a sparse LU factorization
+//! a tableau. The system it pivots on is the presolved one
+//! ([`crate::presolve`]): the shared normalized system minus the rows that
+//! cannot bind. Phases 1 and 2 and the face cleanup run there; the terminal
+//! basis, completed by the dropped rows' slacks and the fixed columns, is
+//! then refined on the full system, so values, objective and one dual per
+//! input constraint come from the same refinement as an unreduced solve.
+//!
+//! The basis inverse is represented as a sparse LU factorization
 //! ([`crate::sparsela::SparseLu`]) composed with a product-form eta file;
 //! every pivot appends one eta (the FTRAN'd entering column), and the basis
 //! is refactorized from scratch every [`REFACTOR_EVERY`] pivots or when a
@@ -16,9 +23,10 @@
 //!
 //! Entering selection is Dantzig's rule for a warm-up period, then Bland's
 //! rule. The canonical face cleanup afterwards minimizes the shared
-//! `sqrt(j + 2)` secondary objective over the primary-optimal face, so this
-//! backend and the dense oracle finish at the same vertex and the shared
-//! refinement in [`crate::norm`] returns the same bits. The cleanup is
+//! `sqrt(j + 2)` secondary objective (the full system's weights, written in
+//! reduced columns) over the primary-optimal face, so this backend and the
+//! dense oracle finish at the same vertex and the shared refinement in
+//! [`crate::norm`] returns the same bits. The cleanup is
 //! priced like phase 2: the face set is fixed once from one BTRAN of the
 //! primary cost on entry (entering a column with primary reduced cost ≈ 0
 //! leaves the primary multipliers unchanged), each pivot costs one BTRAN of
@@ -27,7 +35,10 @@
 //! keeps Bland's rule for its cleanup; the irrational weights make the face
 //! minimizer unique, so the two pivot paths still meet at one vertex.
 
-use crate::norm::{bounded_rhs, refine_canonical, refine_from_basis, ColDef, NormSystem};
+use crate::norm::{
+    bounded_rhs, refine_canonical, refine_from_basis, user_duals, ColDef, NormSystem,
+};
+use crate::presolve::Presolve;
 use crate::problem::Constraint;
 use crate::sparsela::SparseLu;
 use crate::types::{LpError, Solution, EPS, FACE_EPS};
@@ -300,9 +311,11 @@ impl<'a> Rev<'a> {
         self.price_and_pivot(cost, barred, 0..self.sys.total_cols, EPS)
     }
 
-    /// Minimizes the shared `sqrt(j + 2)` secondary objective over the
-    /// current primary-optimal face — same semantics as the dense oracle's
-    /// face cleanup, so both backends leave at the same canonical vertex.
+    /// Minimizes the secondary objective `sec` (the full system's
+    /// `sqrt(j + 2)` weights written in this system's columns, see
+    /// [`crate::presolve`]) over the current primary-optimal face — same
+    /// semantics as the dense oracle's face cleanup, so both backends leave
+    /// at the same canonical vertex.
     ///
     /// Every column that enters has primary reduced cost ≈ 0, so the primary
     /// multipliers, and with them the face, do not change while it runs: the
@@ -311,7 +324,7 @@ impl<'a> Rev<'a> {
     /// nonbasic columns that may enter with `|d1| ≤ FACE_EPS`. Each pivot then
     /// costs one BTRAN for the secondary multipliers and prices the face set
     /// only, with the same Dantzig-then-Bland rule as [`Rev::optimize`].
-    fn optimize_face(&mut self, cost: &[f64], barred: &[bool]) -> Result<(), LpError> {
+    fn optimize_face(&mut self, cost: &[f64], sec: &[f64], barred: &[bool]) -> Result<(), LpError> {
         let n = self.sys.total_cols;
         let y1 = self.multipliers(cost);
         let face: Vec<usize> = (0..n)
@@ -321,10 +334,9 @@ impl<'a> Rev<'a> {
                         && self.reduced_cost(cost, &y1, j).abs() <= FACE_EPS)
             })
             .collect();
-        let sec: Vec<f64> = (0..n).map(|j| ((j + 2) as f64).sqrt()).collect();
-        self.price_and_pivot(&sec, barred, face.iter().copied(), FACE_EPS)?;
+        self.price_and_pivot(sec, barred, face.iter().copied(), FACE_EPS)?;
         #[cfg(feature = "audit")]
-        self.audit_face(cost, &sec, barred);
+        self.audit_face(cost, sec, barred);
         Ok(())
     }
 
@@ -422,18 +434,25 @@ impl<'a> Rev<'a> {
         }
     }
 
-    /// Extracts the final [`Solution`] through the shared canonical
-    /// refinement (with terminal-basis and raw-state fallbacks).
-    fn extract(mut self, objective: &[f64], upper: &[f64]) -> Solution {
-        let mut basis_cols = self.basis_cols.clone();
-        basis_cols.sort_unstable();
+    /// Extracts the final [`Solution`] on the full system `full` through
+    /// the shared canonical refinement (with terminal-basis and raw-state
+    /// fallbacks): `pre` maps this reduced basis back to a full one.
+    fn extract(
+        self,
+        full: &NormSystem,
+        pre: &Presolve,
+        objective: &[f64],
+        upper: &[f64],
+    ) -> Solution {
+        let basis_cols = pre.full_basis(full, &self.basis_cols);
         let at_upper = self.at_upper();
-        let refined = refine_canonical(self.sys, objective, upper, &at_upper, &basis_cols)
-            .or_else(|| refine_from_basis(self.sys, objective, upper, &at_upper, &basis_cols));
-        let (values, duals, objective_value) = match refined {
+        let refined = refine_canonical(full, objective, upper, &at_upper, &basis_cols)
+            .or_else(|| refine_from_basis(full, objective, upper, &at_upper, &basis_cols));
+        let (values, mut duals, objective_value) = match refined {
             Some(r) => r,
-            None => self.raw_package(objective),
+            None => self.raw_package(full, pre, objective),
         };
+        pre.zero_dropped_duals(&mut duals);
         Solution {
             values,
             objective: objective_value,
@@ -444,7 +463,12 @@ impl<'a> Rev<'a> {
 
     /// Last-resort packaging straight from solver state, used only when the
     /// refinement LU rejects the terminal basis (numerically singular).
-    fn raw_package(&mut self, objective: &[f64]) -> (Vec<f64>, Vec<f64>, f64) {
+    fn raw_package(
+        &self,
+        full: &NormSystem,
+        pre: &Presolve,
+        objective: &[f64],
+    ) -> (Vec<f64>, Vec<f64>, f64) {
         let mut values = vec![0.0; self.sys.num_vars];
         for (j, v) in values.iter_mut().enumerate() {
             if self.status[j] == Status::Upper {
@@ -458,6 +482,7 @@ impl<'a> Rev<'a> {
                 }
             }
         }
+        pre.fill_fixed(full, &mut values);
         let objective_value = values
             .iter()
             .zip(objective)
@@ -465,22 +490,8 @@ impl<'a> Rev<'a> {
             .sum::<f64>();
         let mut cost = vec![0.0; self.sys.total_cols];
         cost[..self.sys.num_vars].copy_from_slice(objective);
-        let y = self.multipliers(&cost);
-        let duals = self
-            .sys
-            .rows
-            .iter()
-            .zip(&y)
-            .map(|(row, &yr)| {
-                let v = yr / row.scale;
-                if row.flipped {
-                    -v
-                } else {
-                    v
-                }
-            })
-            .collect();
-        (values, duals, objective_value)
+        let y = pre.full_multipliers(full, &self.multipliers(&cost), objective);
+        (values, user_duals(full, &y), objective_value)
     }
 }
 
@@ -493,8 +504,10 @@ pub(crate) fn solve_sparse(
     constraints: &[Constraint],
     upper: &[f64],
 ) -> Result<Solution, LpError> {
-    let sys = NormSystem::build(num_vars, constraints);
-    let mut rev = Rev::new(&sys, upper)?;
+    let full = NormSystem::build(num_vars, constraints);
+    let pre = Presolve::new(&full, upper);
+    let sys = &pre.sys;
+    let mut rev = Rev::new(sys, &pre.upper)?;
 
     // Phase 1: minimize the sum of artificials.
     if sys.total_cols > sys.art_start {
@@ -516,6 +529,6 @@ pub(crate) fn solve_sparse(
     c2[..num_vars].copy_from_slice(objective);
     let barred_p2: Vec<bool> = (0..sys.total_cols).map(|c| c >= sys.art_start).collect();
     rev.optimize(&c2, &barred_p2)?;
-    rev.optimize_face(&c2, &barred_p2)?;
-    Ok(rev.extract(objective, upper))
+    rev.optimize_face(&c2, &pre.sec, &barred_p2)?;
+    Ok(rev.extract(&full, &pre, objective, upper))
 }

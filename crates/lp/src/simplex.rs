@@ -28,7 +28,7 @@
 //! the terminal basis always has full length `m` and refines through the
 //! same code path as the sparse backend.
 
-use crate::norm::{refine_canonical, refine_from_basis, ColDef, NormSystem};
+use crate::norm::{refine_canonical, refine_from_basis, rows_satisfied, ColDef, NormSystem};
 use crate::problem::{Constraint, Relation};
 use crate::types::{LpError, Solution, EPS, FACE_EPS};
 
@@ -361,6 +361,13 @@ pub(crate) fn solve_dense(
             (values, duals, objective_value)
         }
     };
+    // Neither extraction path checks rows: the refinement checks only
+    // structural bounds, the tableau read-out nothing. On large instances
+    // the dense elimination can drift to a "solution" that violates rows by
+    // orders of magnitude; that is numerical failure, not an optimum.
+    if !rows_satisfied(&sys, &values) {
+        return Err(LpError::IterationLimit);
+    }
     duals.truncate(user_m);
     Ok(Solution {
         values,

@@ -1,5 +1,7 @@
 //! Unit and property tests for the simplex solver.
 
+use crate::norm::{rows_satisfied, NormSystem};
+use crate::presolve::Presolve;
 use crate::{LpError, Problem, Relation};
 use proptest::prelude::*;
 
@@ -617,4 +619,218 @@ proptest! {
         }
         solve_both(&p)?;
     }
+
+    /// Placement-shaped LPs (4–30 sources) on which both presolve
+    /// reductions fire: sparse and dense agree bit for bit, the sparse
+    /// answer carries one dual per input constraint, and every dropped
+    /// row's dual is exactly zero.
+    #[test]
+    fn presolved_placement_lps_match_the_dense_oracle(
+        n in 4usize..31,
+        dests in 1usize..5,
+        data in proptest::collection::vec(0u8..14, 30),
+        tasks in proptest::collection::vec(0u8..9, 30),
+        up in proptest::collection::vec(1u8..6, 30),
+        slots in proptest::collection::vec(1u8..9, 30),
+        cost in proptest::collection::vec(0u8..3, 7),
+        budget in 0u8..40,
+        floor in 0u8..8,
+        keep in proptest::collection::vec(0usize..30, 0..3),
+    ) {
+        // About 40% of sources without data, 40% without tasks.
+        let data: Vec<u8> = data[..n].iter().map(|&d| d.saturating_sub(5)).collect();
+        let tasks: Vec<u8> = tasks[..n].iter().map(|&k| k.saturating_sub(3)).collect();
+        let keep: Vec<usize> = keep.into_iter().filter(|&x| x < n).collect();
+        let (p, never_binds, fixing) = placement_lp(
+            &data, &tasks, &up[..n], &slots[..n], &cost, dests, budget, floor, &keep,
+        );
+        let upper: Vec<f64> = (0..p.num_vars()).map(|v| p.upper_bound(v)).collect();
+        let pre = Presolve::new(&NormSystem::build(p.num_vars(), p.constraints()), &upper);
+        prop_assert_eq!(pre.sys.m(), p.num_constraints() - never_binds.len() - fixing);
+        solve_both(&p)?;
+        if let Ok(sol) = p.solve() {
+            prop_assert_eq!(sol.duals.len(), p.num_constraints());
+            for &r in &never_binds {
+                prop_assert_eq!(sol.duals[r].to_bits(), 0.0f64.to_bits(), "row {}", r);
+            }
+        }
+    }
+}
+
+#[test]
+fn presolve_drops_every_row_at_an_optimum() {
+    // Both rows hold for every x, T ≥ 0: the reduced system is empty and
+    // the answer is the origin.
+    let mut p = Problem::minimize(2);
+    p.set_objective(&[(0, 1.0), (1, 2.0)]);
+    p.add_constraint(&[(1, -3.0)], Relation::Le, 0.0);
+    p.add_constraint(&[(0, -1.0), (1, -2.0)], Relation::Le, 4.0);
+    let sol = p.solve().unwrap();
+    assert_eq!(sol.objective, 0.0);
+    assert_eq!(sol.values, vec![0.0, 0.0]);
+    assert_eq!(sol.duals, vec![0.0, 0.0]);
+    let dense = p.solve_dense().unwrap();
+    assert_eq!(dense.objective, 0.0);
+    assert_eq!(dense.values, vec![0.0, 0.0]);
+}
+
+#[test]
+fn presolve_drops_every_row_and_reports_unbounded() {
+    // A negative cost on a column no row can stop: unbounded, like the
+    // unreduced dense oracle says.
+    let mut p = Problem::minimize(2);
+    p.set_objective(&[(0, -1.0), (1, 1.0)]);
+    p.add_constraint(&[(1, -3.0)], Relation::Le, 0.0);
+    p.add_constraint(&[(0, -1.0), (1, -2.0)], Relation::Le, 0.0);
+    assert_eq!(p.solve().unwrap_err(), LpError::Unbounded);
+    assert_eq!(p.solve_dense().unwrap_err(), LpError::Unbounded);
+}
+
+#[test]
+fn fixing_row_beyond_the_bound_is_left_to_the_simplex() {
+    // x0 = 5 (x1 pinned) would fix x0 above its bound of 3: the row stays
+    // in the reduced system and phase 1 finds it infeasible.
+    let mut p = Problem::minimize(2);
+    p.set_objective(&[(0, 1.0)]);
+    p.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Eq, 5.0);
+    p.set_upper(0, 3.0);
+    p.set_upper(1, 0.0);
+    let upper = [3.0, 0.0];
+    let full = NormSystem::build(2, p.constraints());
+    assert_eq!(Presolve::new(&full, &upper).sys.m(), 1);
+    assert_eq!(p.solve().unwrap_err(), LpError::Infeasible);
+    assert_eq!(p.solve_dense().unwrap_err(), LpError::Infeasible);
+}
+
+#[test]
+fn dense_feasibility_check_rejects_violated_rows() {
+    // x + y ≤ 4, x − y = 1, x ≥ 2.
+    let mut p = Problem::minimize(2);
+    p.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Le, 4.0);
+    p.add_constraint(&[(0, 1.0), (1, -1.0)], Relation::Eq, 1.0);
+    p.add_constraint(&[(0, 1.0)], Relation::Ge, 2.0);
+    let sys = NormSystem::build(2, p.constraints());
+    assert!(rows_satisfied(&sys, &[2.0, 1.0]));
+    assert!(rows_satisfied(&sys, &[2.5, 1.5]));
+    // Within the activity-relative tolerance.
+    assert!(rows_satisfied(&sys, &[2.0 + 1e-9, 1.0]));
+    assert!(!rows_satisfied(&sys, &[3.0, 2.0])); // ≤ row
+    assert!(!rows_satisfied(&sys, &[2.0, 0.5])); // = row
+    assert!(!rows_satisfied(&sys, &[1.0, 0.0])); // ≥ row
+    assert!(!rows_satisfied(&sys, &[f64::NAN, 1.0]));
+    assert!(!rows_satisfied(&sys, &[1.5e18, -1.5e18]));
+}
+
+/// A map-placement-shaped LP over `n` sources, built so that both presolve
+/// reductions fire. Source `x` ships fractions `a[x][y]` to itself and to
+/// the shared destinations `0..dests`, and one epigraph column `T` bounds
+/// every upload and compute time. A source with neither data nor tasks is
+/// pinned in place (`a[x][y] = 0` bounds for `y ≠ x`), so its row sum is a
+/// fixing row unless another row also uses `a[x][x]`; a source with no
+/// data leaves a singleton `−up·T ≤ 0` upload row, and a destination that
+/// no unpinned source computes at leaves a singleton `−slots·T ≤ 0` row.
+/// A WAN budget, a floor on `T` and an optional `Σ a[x][x] ≥ 0.5` row
+/// over `keep` are the ordinary rows mixed in.
+///
+/// Returns the problem, the indices of its never-binding rows and the
+/// number of fixing rows.
+#[cfg(not(miri))]
+#[allow(clippy::too_many_arguments)]
+fn placement_lp(
+    data: &[u8],
+    tasks: &[u8],
+    up: &[u8],
+    slots: &[u8],
+    cost: &[u8],
+    dests: usize,
+    budget: u8,
+    floor: u8,
+    keep: &[usize],
+) -> (Problem, Vec<usize>, usize) {
+    let n = data.len();
+    let mut cols: Vec<Vec<(usize, usize)>> = Vec::with_capacity(n); // (y, var)
+    let mut nv = 0;
+    for x in 0..n {
+        let mut ys: Vec<usize> = (0..dests).collect();
+        if x >= dests {
+            ys.push(x);
+        }
+        cols.push(ys.iter().map(|&y| (y, nv + y.min(dests))).collect());
+        nv += ys.len();
+    }
+    let t = nv;
+    let var = |x: usize, y: usize| cols[x].iter().find(|&&(yy, _)| yy == y).map(|&(_, v)| v);
+    let dead = |x: usize| data[x] == 0 && tasks[x] == 0;
+    let mut p = Problem::minimize(nv + 1);
+    p.add_objective_term(t, 1.0);
+    for (x, ys) in cols.iter().enumerate() {
+        for &(y, v) in ys {
+            if y != x {
+                p.add_objective_term(v, f64::from(cost[(x + y) % cost.len()]) / 8.0);
+                if dead(x) {
+                    p.set_upper(v, 0.0);
+                }
+            }
+        }
+    }
+    let mut never_binds = Vec::new();
+    let mut add = |p: &mut Problem, terms: Vec<(usize, f64)>, rel: Relation, rhs: f64| {
+        let unpinned_pos = terms
+            .iter()
+            .any(|&(v, a)| a > 0.0 && p.upper_bound(v) != 0.0);
+        if rel == Relation::Le && rhs >= 0.0 && !unpinned_pos {
+            never_binds.push(p.num_constraints());
+        }
+        p.add_constraint(&terms, rel, rhs);
+    };
+    for ys in &cols {
+        add(
+            &mut p,
+            ys.iter().map(|&(_, v)| (v, 1.0)).collect(),
+            Relation::Eq,
+            1.0,
+        );
+    }
+    for (x, ys) in cols.iter().enumerate() {
+        let mut terms: Vec<(usize, f64)> = ys
+            .iter()
+            .filter(|&&(y, _)| y != x)
+            .map(|&(_, v)| (v, f64::from(data[x])))
+            .collect();
+        terms.push((t, -f64::from(up[x])));
+        add(&mut p, terms, Relation::Le, 0.0);
+    }
+    for (y, &s) in slots.iter().enumerate() {
+        let mut terms: Vec<(usize, f64)> = (0..n)
+            .filter_map(|x| var(x, y).map(|v| (v, f64::from(tasks[x]))))
+            .collect();
+        terms.push((t, -f64::from(s)));
+        add(&mut p, terms, Relation::Le, 0.0);
+    }
+    let wan: Vec<(usize, f64)> = cols
+        .iter()
+        .enumerate()
+        .flat_map(|(x, ys)| {
+            ys.iter()
+                .filter(move |&&(y, _)| y != x)
+                .map(move |&(_, v)| (v, f64::from(data[x])))
+        })
+        .collect();
+    add(&mut p, wan, Relation::Le, f64::from(budget));
+    add(&mut p, vec![(t, 1.0)], Relation::Ge, f64::from(floor) / 4.0);
+    if !keep.is_empty() {
+        let terms: Vec<(usize, f64)> = keep
+            .iter()
+            .filter_map(|&x| var(x, x))
+            .map(|v| (v, 1.0))
+            .collect();
+        add(&mut p, terms, Relation::Ge, 0.5);
+    }
+    // A row sum fixes `a[x][x]` when that is its only unpinned column (a
+    // dead source, or source 0 with `dests == 1`) and no compute or `keep`
+    // row uses it.
+    let fixing = (0..n)
+        .filter(|&x| (dead(x) || cols[x].len() == 1) && tasks[x] == 0 && !keep.contains(&x))
+        .count();
+    (p, never_binds, fixing)
 }
