@@ -17,6 +17,9 @@
 //! has already drained at the current instant (a reduce stage's equal-size
 //! fetches finish together), the next completion is answered without one,
 //! so a burst of same-instant completions costs one refill, not one each.
+//! Which group holds such a flow is read from per-group due/tie bit flags,
+//! recomputed for one group per flow mutation and for all live groups once
+//! per instant, so a query costs a scan of bitset words, not of groups.
 //! All of it is exact: the arithmetic — and therefore every simulated
 //! timestamp and byte count — is bit-identical to recomputing the world
 //! from scratch at every event.
@@ -85,6 +88,67 @@ fn ord_key(v: f64) -> u64 {
         !b
     } else {
         b | (1 << 63)
+    }
+}
+
+/// A group's due-now flag, from its earliest flow's remaining GB and the
+/// bound `cap = min(up[src], down[dst])` on its max-min rate: `Some(true)`
+/// when the flow is due at `now`, `Some(false)` when it is not but could
+/// tie at `now` (`now + rem / cap <= now`), `None` when neither.
+fn due_flag(now: f64, rem: f64, cap: f64) -> Option<bool> {
+    if rem <= 1e-12 {
+        Some(true)
+    } else if cap > 0.0 && now + rem / cap <= now {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// Per-group [`due_flag`]s as two bitsets over group ids: `any` marks the
+/// live groups that are due or could tie at `now`, `due` the due subset.
+#[derive(Debug, Default)]
+struct DueFlags {
+    any: Vec<u64>,
+    due: Vec<u64>,
+    /// The clock or a capacity moved: every flag awaits a recompute.
+    stale: bool,
+}
+
+impl DueFlags {
+    fn set(&mut self, g: usize, flag: Option<bool>) {
+        let (w, bit) = (g / 64, 1u64 << (g % 64));
+        if w >= self.any.len() {
+            self.any.resize(w + 1, 0);
+            self.due.resize(w + 1, 0);
+        }
+        self.any[w] &= !bit;
+        self.due[w] &= !bit;
+        if let Some(due) = flag {
+            self.any[w] |= bit;
+            if due {
+                self.due[w] |= bit;
+            }
+        }
+    }
+
+    fn get(&self, g: usize) -> Option<bool> {
+        let (w, bit) = (g / 64, 1u64 << (g % 64));
+        match self.any.get(w) {
+            Some(&a) if a & bit != 0 => Some(self.due[w] & bit != 0),
+            _ => None,
+        }
+    }
+
+    /// The lowest flagged group.
+    fn first(&self) -> Option<usize> {
+        let w = self.any.iter().position(|&a| a != 0)?;
+        Some(w * 64 + self.any[w].trailing_zeros() as usize)
+    }
+
+    fn clear(&mut self) {
+        self.any.fill(0);
+        self.due.fill(0);
     }
 }
 
@@ -161,6 +225,9 @@ pub struct FlowSim {
     all_stale: bool,
     /// Groups needing an ETA re-push (membership or rate changed).
     stale: Vec<usize>,
+    /// Which live groups are due or could tie at `now`; see
+    /// [`FlowSim::due_now`].
+    flags: DueFlags,
     /// Memoized result of [`FlowSim::next_completion`]: completion times are
     /// absolute, so the answer stays valid until the flow set or capacities
     /// change.
@@ -205,6 +272,7 @@ impl FlowSim {
             time_epoch: 0,
             all_stale: false,
             stale: Vec::new(),
+            flags: DueFlags::default(),
             cached_next: None,
             obs: Obs::disabled(),
             obs_pending: false,
@@ -326,6 +394,11 @@ impl FlowSim {
             local_pos,
             alive: true,
         };
+        // After the record is written: `group_top` would discard the new
+        // flow's heap entry as invalid before it.
+        if let Some(g) = group {
+            self.update_flag(g);
+        }
         self.active += 1;
         if !local && self.obs.is_enabled() {
             self.obs_pending = true;
@@ -359,6 +432,7 @@ impl FlowSim {
                     self.live_remove(g);
                 }
                 self.mark_group_stale(g);
+                self.update_flag(g);
                 let (src, dst) = (self.groups[g].src, self.groups[g].dst);
                 self.wf.mark_pair_dirty(src, dst);
                 self.dirty = true;
@@ -401,6 +475,7 @@ impl FlowSim {
         self.down_gbps[site.index()] = down_gbps;
         self.wf.mark_pair_dirty(site.index(), site.index());
         self.dirty = true;
+        self.flags.stale = true;
         self.cached_next = None;
         if self.obs.is_enabled() {
             self.obs_pending = true;
@@ -428,12 +503,14 @@ impl FlowSim {
             }
             self.time_epoch += 1;
             self.all_stale = true;
+            self.flags.stale = true;
         } else if t.to_bits() != self.now.to_bits() {
             // The clock value changed bitwise (a sub-epsilon step backwards
             // or across the zero signs): ETAs derive from `now`, so they
             // must be recomputed to stay bit-exact.
             self.time_epoch += 1;
             self.all_stale = true;
+            self.flags.stale = true;
         }
         self.now = t;
     }
@@ -514,29 +591,45 @@ impl FlowSim {
     }
 
     /// Answers [`FlowSim::next_completion`] without the pending refill when
-    /// a flow is already drained at `now`: its ETA is `now` at any rate.
-    /// Walking live groups in ascending order, the first due group wins the
-    /// `(eta, group)` order when no lower group can tie at `now`; a group's
-    /// max-min rate never exceeds `cap = min(up, down)`, so
-    /// `now + rem / cap > now` rules a tie out. `None` sends the query to
-    /// the refill path.
+    /// a flow is already drained at `now`: its ETA is `now` at any rate. The
+    /// lowest group that is due or could tie at `now` decides: if it is due,
+    /// it wins the `(eta, group)` order, since a group's max-min rate never
+    /// exceeds `cap = min(up, down)` and so `now + rem / cap > now` rules a
+    /// tie out for every lower group. `None` sends the query to the refill
+    /// path.
     fn due_now(&mut self) -> Option<(FlowKey, f64)> {
         if !self.dirty {
             return None;
         }
-        for i in 0..self.live.len() {
-            let g = self.live[i];
-            let (idx, remaining) = self.group_top(g)?;
-            if remaining <= 1e-12 {
-                return Some((FlowKey(idx), self.now));
-            }
-            let grp = &self.groups[g];
-            let cap = self.up_gbps[grp.src].min(self.down_gbps[grp.dst]);
-            if cap > 0.0 && self.now + remaining / cap <= self.now {
-                return None;
+        if self.flags.stale {
+            self.flags.stale = false;
+            self.flags.clear();
+            for i in 0..self.live.len() {
+                let g = self.live[i];
+                self.update_flag(g);
             }
         }
-        None
+        let g = self.flags.first()?;
+        if self.flags.get(g) != Some(true) {
+            return None;
+        }
+        let (idx, _) = self.group_top(g)?;
+        Some((FlowKey(idx), self.now))
+    }
+
+    /// Recomputes group `g`'s due-now flag, unless every flag awaits a
+    /// recompute anyway.
+    fn update_flag(&mut self, g: usize) {
+        if self.flags.stale {
+            return;
+        }
+        // An emptied group has no valid heap entry left, so it unflags.
+        let grp = &self.groups[g];
+        let cap = self.up_gbps[grp.src].min(self.down_gbps[grp.dst]);
+        let flag = self
+            .group_top(g)
+            .and_then(|(_, rem)| due_flag(self.now, rem, cap));
+        self.flags.set(g, flag);
     }
 
     /// The refresh-then-heap answer: refills pending rates, re-derives the
@@ -708,6 +801,11 @@ impl FlowSim {
     /// 4. Bookkeeping consistency: group member counts match the alive flow
     ///    records, the live list is exactly the non-empty groups in
     ///    ascending order, and `active` counts the alive flows.
+    /// 5. Due-now flags: whenever they are fresh, every group's flag equals
+    ///    one recomputed from scratch — its minimum valid threshold found by
+    ///    a heap scan (the popping `group_top` needs `&mut self`). A stale flag could make `due_now` defer too
+    ///    early, which costs refills but no output bits, so the due-now
+    ///    cross-check in `next_completion` cannot see it.
     ///
     /// Checks 1 and 2 run here only when no refill is pending (the audit
     /// must not refresh, or the next query would never see pending
@@ -774,6 +872,35 @@ impl FlowSim {
             self.live,
             expect_live
         );
+
+        // 5. Due-now flags.
+        if !self.flags.stale {
+            for (g, gr) in self.groups.iter().enumerate() {
+                let top = gr
+                    .heap
+                    .iter()
+                    .filter(|&&Reverse((th, idx))| {
+                        let f = &self.flows[idx];
+                        f.alive && f.group == Some(g) && key(f.join_drain + f.size_gb) == th
+                    })
+                    .map(|&Reverse((th, _))| th)
+                    .min();
+                let cap = self.up_gbps[gr.src].min(self.down_gbps[gr.dst]);
+                let want = top.and_then(|th| {
+                    due_flag(self.now, (f64::from_bits(th) - gr.drained).max(0.0), cap)
+                });
+                let got = self.flags.get(g);
+                assert!(
+                    got == want,
+                    "audit[{ctx}]: group {g} ({}->{}, count {}) due-now flag \
+                     {got:?} != from-scratch {want:?} at t={}",
+                    gr.src,
+                    gr.dst,
+                    gr.count,
+                    self.now
+                );
+            }
+        }
     }
 
     /// Checks 1 and 2 of [`FlowSim::audit`]: the current rates against the
@@ -1070,6 +1197,75 @@ mod tests {
         twin.link_usage(); // Refills first: the refresh-then-heap answer.
         assert_eq!(got, twin.next_completion().map(|(k, t)| (k, t.to_bits())));
         assert_eq!(got, Some((tying, 1e7f64.to_bits())));
+    }
+
+    /// The due/tie flags span bitset words: with 64 groups on the first
+    /// pairs of 9 sites, the due group (id 64) sits in word 1. A tying
+    /// group in word 0 must make the due-now answer defer; with nothing
+    /// flagged in word 0, the word-1 due flow must be answered, matching a
+    /// refill-first twin bit for bit.
+    #[test]
+    fn due_now_reads_flags_across_bitset_words() {
+        let pairs: Vec<(usize, usize)> = (0..9)
+            .flat_map(|s| (0..9).filter(move |&d| d != s).map(move |d| (s, d)))
+            .collect();
+        let run = |tie: bool, refill_first: bool| {
+            let mut sim = FlowSim::new(vec![1.0; 9], vec![1.0; 9]);
+            sim.advance_to(1e7);
+            for &(s, d) in &pairs[..64] {
+                sim.add_flow(SiteId(s), SiteId(d), 1.0);
+            }
+            // Nothing is due yet; the query leaves the flags fresh, so the
+            // adds below update them one group at a time.
+            assert!(sim.next_completion().unwrap().1 > 1e7);
+            let tying = tie.then(|| sim.add_flow(SiteId(pairs[3].0), SiteId(pairs[3].1), 1e-11));
+            let (s, d) = pairs[64];
+            let due = sim.add_flow(SiteId(s), SiteId(d), 0.0);
+            if refill_first {
+                sim.link_usage();
+            } else {
+                let want = if tie { None } else { Some((due, 1e7)) };
+                assert_eq!(sim.due_now(), want);
+            }
+            let got = sim.next_completion().map(|(k, t)| (k, t.to_bits()));
+            assert_eq!(got, Some((tying.unwrap_or(due), 1e7f64.to_bits())));
+            got
+        };
+        for tie in [true, false] {
+            assert_eq!(run(tie, false), run(tie, true));
+        }
+    }
+
+    /// Near t = 1e7 a flow 1e-9 GB from done cannot tie at `now` over a
+    /// 1 GB/s cap (1e-9 s exceeds half an ulp of `now`), so the higher
+    /// group's due flow is answered; raising the cap to 10 GB/s makes it
+    /// tie, and the due-now answer must then defer to the refill path.
+    #[test]
+    fn due_now_defers_once_a_capacity_raise_makes_a_lower_group_tie() {
+        let run = |refill_first: bool| {
+            let mut sim = FlowSim::new(vec![1.0; 4], vec![1.0; 4]);
+            sim.advance_to(1e7);
+            let lower = sim.add_flow(SiteId(0), SiteId(1), 1e-9);
+            let due = sim.add_flow(SiteId(2), SiteId(3), 0.0);
+            let mut answers = Vec::new();
+            for raise in [false, true] {
+                if raise {
+                    sim.set_capacity(SiteId(0), 10.0, 10.0);
+                    sim.set_capacity(SiteId(1), 10.0, 10.0);
+                }
+                if refill_first {
+                    sim.link_usage();
+                } else {
+                    let want = if raise { None } else { Some((due, 1e7)) };
+                    assert_eq!(sim.due_now(), want);
+                }
+                answers.push(sim.next_completion().map(|(k, t)| (k, t.to_bits())));
+            }
+            let at_now = 1e7f64.to_bits();
+            assert_eq!(answers, [Some((due, at_now)), Some((lower, at_now))]);
+            answers
+        };
+        assert_eq!(run(false), run(true));
     }
 
     /// Sixteen equal fetches on one pair drain at one instant: retiring all

@@ -6,7 +6,13 @@ use tetrium::net::{max_min_rates, waterfill_groups, FlowKey, FlowSim, FlowSpec, 
 use tetrium_cluster::SiteId;
 
 fn caps_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
-    (2usize..7).prop_flat_map(|n| {
+    caps_in(2..7)
+}
+
+/// Per-site uplink and downlink capacities over a site count drawn from
+/// `sites`.
+fn caps_in(sites: std::ops::Range<usize>) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    sites.prop_flat_map(|n| {
         (
             proptest::collection::vec(1u32..80, n),
             proptest::collection::vec(1u32..80, n),
@@ -535,6 +541,8 @@ impl Twin {
     }
 
     fn assert_ledgers(&self) {
+        #[cfg(feature = "audit")]
+        self.fast.audit("twin");
         let (got, want) = (self.fast.total_wan_gb(), self.reference.total_wan_gb());
         assert_eq!(got.to_bits(), want.to_bits(), "WAN ledger {got} vs {want}");
         assert_eq!(self.fast.active_flows(), self.reference.active_flows());
@@ -553,13 +561,15 @@ proptest! {
     /// queued re-adds at the instant, zero and sub-threshold sizes, outages
     /// and restores, and a clock far from zero (where one ulp of `now`
     /// exceeds a tiny flow's drain time) all produce the refresh-first
-    /// simulator's completions, refunds and ledger bit for bit.
+    /// simulator's completions, refunds and ledger bit for bit. Half the
+    /// cases run 9-12 sites, where all-pairs shuffles open more than 64
+    /// groups and the due-now flags span several bitset words.
     #[test]
     fn due_now_answers_match_refresh_first_answers(
-        (up, down) in caps_strategy(),
+        (up, down) in proptest::bool::ANY.prop_flat_map(|wide| caps_in(if wide { 9..13 } else { 2..7 })),
         uniform in proptest::bool::ANY,
         far in proptest::bool::ANY,
-        ops in proptest::collection::vec((0usize..9, 0usize..7, 0usize..7, 1u32..40), 1..60),
+        ops in proptest::collection::vec((0usize..10, 0usize..12, 0usize..12, 1u32..40), 1..60),
     ) {
         let n = up.len();
         let (up, down) = if uniform { (vec![up[0]; n], vec![up[0]; n]) } else { (up, down) };
@@ -571,6 +581,7 @@ proptest! {
             let s = a % n;
             (s, (s + 1 + b % (n - 1)) % n)
         };
+        let mut shuffled = false;
         for (op, a, b, v) in ops {
             match op {
                 0 => {
@@ -607,6 +618,16 @@ proptest! {
                         twin.set_capacity(s, 0.0, 0.0);
                     } else {
                         twin.set_capacity(s, up[s], down[s]);
+                    }
+                }
+                // An all-pairs shuffle, once per case: one flow on every
+                // ordered pair.
+                6 if !shuffled => {
+                    shuffled = true;
+                    for s in 0..n {
+                        for d in (0..n).filter(|&d| d != s) {
+                            twin.add(s, d, (1 + (s + d + b) % 4) as f64 * v as f64 * 0.05);
+                        }
                     }
                 }
                 // Advance to the next completion (or part of the way), then
