@@ -237,7 +237,10 @@ impl NormSystem {
 }
 
 /// Factorizes the basis matrix `B` given by `basis_cols` against the
-/// normalized system. `None` when (numerically) singular.
+/// normalized system, in the given (ascending) column order. `None` when
+/// (numerically) singular. The order fixes the LU's rounding and with it
+/// the refined bits, so unlike the solver's refactorization (unit columns
+/// first, see [`crate::revised`]) this one must not reorder.
 fn factorize_basis(sys: &NormSystem, basis_cols: &[usize]) -> Option<SparseLu> {
     let m = sys.m();
     SparseLu::factorize(

@@ -12,14 +12,19 @@
 //! The basis inverse is represented as a sparse LU factorization
 //! ([`crate::sparsela::SparseLu`]) composed with a product-form eta file;
 //! every pivot appends one eta (the FTRAN'd entering column), and the basis
-//! is refactorized from scratch every [`REFACTOR_EVERY`] pivots or when a
-//! pivot element is too small to divide by safely. Variable upper bounds are
-//! handled natively: each column carries a status (basic / at lower bound /
-//! at upper bound), the ratio test considers leaving-to-upper and
-//! bound-flip steps, and `ub = 0` columns are simply never allowed to enter
-//! (which is how the placement models pin dead sources without emitting
-//! constraint rows, and how artificials are retired after phase 1 without
-//! dropping redundant rows).
+//! is refactorized from scratch once [`REFACTOR_EVERY`] etas have
+//! accumulated or when a pivot element is too small to divide by safely.
+//! Refactorization is cheap because it factors the unit columns (slacks,
+//! artificials) first: they pivot on their own rows without fill, and the
+//! structural columns only factor the small block the unit columns leave.
+//! That keeps the eta file short, which matters because FTRAN'd columns
+//! are dense. Variable upper bounds are handled natively: each column
+//! carries a status (basic / at lower bound / at upper bound), the ratio
+//! test considers leaving-to-upper and bound-flip steps, and `ub = 0`
+//! columns are simply never allowed to enter (which is how the placement
+//! models pin dead sources without emitting constraint rows, and how
+//! artificials are retired after phase 1 without dropping redundant rows).
+//! Each phase prices only the columns it may enter, listed once per phase.
 //!
 //! Entering selection is Dantzig's rule for a warm-up period, then Bland's
 //! rule. The canonical face cleanup afterwards minimizes the shared
@@ -46,8 +51,9 @@ use crate::types::{LpError, Solution, EPS, FACE_EPS};
 /// Pivot threshold for basis refactorizations.
 const LU_TOL: f64 = 1e-11;
 
-/// Refactorize after this many etas have accumulated.
-const REFACTOR_EVERY: usize = 64;
+/// The eta file holds at most this many etas: the basis change that would
+/// append one more refactorizes instead.
+pub(crate) const REFACTOR_EVERY: usize = 16;
 
 /// Pivot elements smaller than this trigger an immediate refactorization
 /// instead of an eta (dividing by them would amplify error).
@@ -108,10 +114,14 @@ impl<'a> Rev<'a> {
     }
 
     /// Rebuilds the LU factorization of the current basis and recomputes the
-    /// basic values from scratch.
+    /// basic values from scratch. The basis positions are first stable-sorted
+    /// with the unit columns (slacks, artificials) ahead of the structural
+    /// ones, so the units pivot on their own rows without fill.
     fn refactor(&mut self) -> Result<(), LpError> {
         let m = self.sys.m();
         let sys = self.sys;
+        self.basis_cols
+            .sort_by_key(|&c| matches!(sys.col_defs[c], ColDef::Structural(_)));
         let cols = &self.basis_cols;
         self.lu = SparseLu::factorize(
             m,
@@ -189,10 +199,14 @@ impl<'a> Rev<'a> {
         cost[j] - dot
     }
 
-    /// A column may never enter while pinned to zero (dead-source pins and
-    /// retired artificials) or barred by the caller.
-    fn may_enter(&self, barred: &[bool], j: usize) -> bool {
-        self.status[j] != Status::Basic && !barred[j] && self.ub[j] != 0.0
+    /// The columns that may enter in the current phase, ascending: all but
+    /// those pinned to zero (dead-source pins, presolve-fixed columns, and
+    /// artificials once retired). Bounds only change between phases, so a
+    /// phase lists them once.
+    fn enterable(&self) -> Vec<usize> {
+        (0..self.sys.total_cols)
+            .filter(|&j| self.ub[j] != 0.0)
+            .collect()
     }
 
     /// Runs one entering step for column `q`: ratio test, then either a
@@ -285,7 +299,7 @@ impl<'a> Rev<'a> {
                 self.xb[r] = entering_value;
                 self.pivots += 1;
                 let wr = w[r];
-                if wr.abs() < ETA_TOL || self.etas.len() + 1 >= REFACTOR_EVERY {
+                if wr.abs() < ETA_TOL || self.etas.len() >= REFACTOR_EVERY {
                     self.refactor()
                 } else {
                     let entries: Vec<(u32, f64)> = w
@@ -306,9 +320,10 @@ impl<'a> Rev<'a> {
     }
 
     /// Runs simplex iterations to optimality for `cost`, pricing every
-    /// column.
-    fn optimize(&mut self, cost: &[f64], barred: &[bool]) -> Result<(), LpError> {
-        self.price_and_pivot(cost, barred, 0..self.sys.total_cols, EPS)
+    /// column that may enter.
+    fn optimize(&mut self, cost: &[f64]) -> Result<(), LpError> {
+        let cols = self.enterable();
+        self.price_and_pivot(cost, &cols, EPS)
     }
 
     /// Minimizes the secondary objective `sec` (the full system's
@@ -319,43 +334,32 @@ impl<'a> Rev<'a> {
     ///
     /// Every column that enters has primary reduced cost ≈ 0, so the primary
     /// multipliers, and with them the face, do not change while it runs: the
-    /// face set is fixed once from one BTRAN on entry. It holds the columns
-    /// basic on entry (a basic column that leaves re-joins the face) plus the
-    /// nonbasic columns that may enter with `|d1| ≤ FACE_EPS`. Each pivot then
-    /// costs one BTRAN for the secondary multipliers and prices the face set
-    /// only, with the same Dantzig-then-Bland rule as [`Rev::optimize`].
-    fn optimize_face(&mut self, cost: &[f64], sec: &[f64], barred: &[bool]) -> Result<(), LpError> {
-        let n = self.sys.total_cols;
+    /// face set is fixed once from one BTRAN on entry. Of the enterable
+    /// columns it holds those basic on entry (a basic column that leaves
+    /// re-joins the face) and the nonbasic ones with `|d1| ≤ FACE_EPS`. Each
+    /// pivot then costs one BTRAN for the secondary multipliers and prices
+    /// the face set only, with the same Dantzig-then-Bland rule as
+    /// [`Rev::optimize`].
+    fn optimize_face(&mut self, cost: &[f64], sec: &[f64]) -> Result<(), LpError> {
         let y1 = self.multipliers(cost);
-        let face: Vec<usize> = (0..n)
-            .filter(|&j| {
-                self.status[j] == Status::Basic
-                    || (self.may_enter(barred, j)
-                        && self.reduced_cost(cost, &y1, j).abs() <= FACE_EPS)
-            })
-            .collect();
-        self.price_and_pivot(sec, barred, face.iter().copied(), FACE_EPS)?;
+        let mut face = self.enterable();
+        face.retain(|&j| {
+            self.status[j] == Status::Basic || self.reduced_cost(cost, &y1, j).abs() <= FACE_EPS
+        });
+        self.price_and_pivot(sec, &face, FACE_EPS)?;
         #[cfg(feature = "audit")]
-        self.audit_face(cost, sec, barred);
+        self.audit_face(cost, sec);
         Ok(())
     }
 
     /// The pricing loop shared by [`Rev::optimize`] and
-    /// [`Rev::optimize_face`]: prices `cols` (ascending) against fresh
-    /// multipliers for `cost` and enters the largest reduced-cost violation
-    /// beyond `tol`, ties to the smallest index (Dantzig), until a warm-up
-    /// budget runs out; after that the first violation wins (Bland), which
-    /// rules out cycling. Stops when no column in `cols` violates.
-    fn price_and_pivot<I>(
-        &mut self,
-        cost: &[f64],
-        barred: &[bool],
-        cols: I,
-        tol: f64,
-    ) -> Result<(), LpError>
-    where
-        I: Iterator<Item = usize> + Clone,
-    {
+    /// [`Rev::optimize_face`]: prices the nonbasic columns of `cols`
+    /// (ascending, all enterable) against fresh multipliers for `cost` and
+    /// enters the largest reduced-cost violation beyond `tol`, ties to the
+    /// smallest index (Dantzig), until a warm-up budget runs out; after that
+    /// the first violation wins (Bland), which rules out cycling. Stops when
+    /// no column in `cols` violates.
+    fn price_and_pivot(&mut self, cost: &[f64], cols: &[usize], tol: f64) -> Result<(), LpError> {
         let size = self.sys.m() + self.sys.total_cols;
         let limit = 200 * size + 1000;
         let dantzig_until = 20 * size + 200;
@@ -364,15 +368,11 @@ impl<'a> Rev<'a> {
             let bland = iter >= dantzig_until;
             let mut entering = None;
             let mut best = tol;
-            for j in cols.clone() {
-                if !self.may_enter(barred, j) {
-                    continue;
-                }
-                let d = self.reduced_cost(cost, &y, j);
+            for &j in cols {
                 let viol = match self.status[j] {
-                    Status::Lower => -d,
-                    Status::Upper => d,
-                    Status::Basic => continue, // excluded by `may_enter`
+                    Status::Lower => -self.reduced_cost(cost, &y, j),
+                    Status::Upper => self.reduced_cost(cost, &y, j),
+                    Status::Basic => continue,
                 };
                 if viol > best {
                     best = viol;
@@ -395,11 +395,11 @@ impl<'a> Rev<'a> {
     /// column that may enter, has `|d1| ≤ FACE_EPS` and violates the
     /// secondary sign condition) finds nothing to enter.
     #[cfg(feature = "audit")]
-    fn audit_face(&self, cost: &[f64], sec: &[f64], barred: &[bool]) {
+    fn audit_face(&self, cost: &[f64], sec: &[f64]) {
         let y1 = self.multipliers(cost);
         let y2 = self.multipliers(sec);
         let missed = (0..self.sys.total_cols).find(|&j| {
-            self.may_enter(barred, j) && self.reduced_cost(cost, &y1, j).abs() <= FACE_EPS && {
+            self.ub[j] != 0.0 && self.reduced_cost(cost, &y1, j).abs() <= FACE_EPS && {
                 let d2 = self.reduced_cost(sec, &y2, j);
                 match self.status[j] {
                     Status::Lower => d2 < -FACE_EPS,
@@ -515,20 +515,48 @@ pub(crate) fn solve_sparse(
         for c in c1.iter_mut().skip(sys.art_start) {
             *c = 1.0;
         }
-        let barred_p1 = vec![false; sys.total_cols];
-        rev.optimize(&c1, &barred_p1)?;
+        rev.optimize(&c1)?;
         if rev.artificial_residual() > 1e-7 {
             return Err(LpError::Infeasible);
         }
         rev.retire_artificials();
     }
 
-    // Phase 2 + canonical face cleanup. Artificials never re-enter; ub = 0
-    // pins are enforced inside `may_enter`.
+    // Phase 2 + canonical face cleanup. Retired artificials (ub = 0) never
+    // re-enter, like the dead-source pins.
     let mut c2 = vec![0.0; sys.total_cols];
     c2[..num_vars].copy_from_slice(objective);
-    let barred_p2: Vec<bool> = (0..sys.total_cols).map(|c| c >= sys.art_start).collect();
-    rev.optimize(&c2, &barred_p2)?;
-    rev.optimize_face(&c2, &pre.sec, &barred_p2)?;
+    rev.optimize(&c2)?;
+    rev.optimize_face(&c2, &pre.sec)?;
     Ok(rev.extract(&full, &pre, objective, upper))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Problem, Relation};
+
+    /// `Rev::refactor` factors the unit columns first whatever order the
+    /// basis positions hold. A basis of one dense structural column at
+    /// position 0 and `m − 1` slacks then factors with no entry beyond the
+    /// input's; in stored order it would fill `O(m²)` (see
+    /// `unit_columns_first_factor_without_fill` in `sparsela.rs`).
+    #[test]
+    fn refactor_factors_unit_columns_first() {
+        let m = 100;
+        let mut p = Problem::minimize(1);
+        for _ in 0..m {
+            p.add_constraint(&[(0, 1.0)], Relation::Le, 1.0);
+        }
+        let sys = NormSystem::build(1, p.constraints());
+        let mut rev = Rev::new(&sys, &[f64::INFINITY]).unwrap();
+        rev.basis_cols = std::iter::once(0)
+            .chain(sys.init_basis[..m - 1].iter().copied())
+            .collect();
+        rev.status[0] = Status::Basic;
+        rev.status[sys.init_basis[m - 1]] = Status::Lower;
+        rev.refactor().unwrap();
+        assert_eq!(rev.basis_cols[m - 1], 0);
+        assert_eq!(rev.lu.nnz(), 2 * m - 1);
+    }
 }

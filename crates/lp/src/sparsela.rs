@@ -1,41 +1,56 @@
 //! Deterministic sparse LU factorization with forward/backward transforms.
 //!
-//! A small, dependency-free left-looking LU with partial pivoting, tuned for
-//! the basis matrices this crate produces: mostly unit columns (slacks,
+//! A small, dependency-free left-looking LU with max-magnitude partial
+//! pivoting, in the column order the caller gives. It is tuned for the
+//! basis matrices this crate produces: mostly unit columns (slacks,
 //! artificials) plus sparse structural columns. Used in two places:
 //!
 //! * the canonical refinement in [`crate::norm`], which solves
-//!   `B x_B = b` / `Bᵀ y = c_B` once per extraction, and
-//! * the revised simplex in [`crate::revised`], which reuses one
-//!   factorization across many iterations through a product-form eta file
-//!   and refactorizes periodically.
+//!   `B x_B = b` / `Bᵀ y = c_B` once per extraction with the basis in
+//!   ascending column order, and
+//! * the revised simplex in [`crate::revised`], which factors its basis
+//!   with the unit columns first (no fill from them), reuses the
+//!   factorization across pivots through a product-form eta file and
+//!   refactorizes often.
+//!
+//! Column order is the caller's choice because it decides the fill: a
+//! structural column factored before the unit column of its pivot row
+//! leaves a dense `L` column behind, and every later unit column on a row
+//! it eliminated picks that fill up again.
 //!
 //! Everything here is deterministic: pivot selection breaks magnitude ties
 //! toward the smallest row index, per-column updates are applied in
-//! ascending eliminated-column order (driven by a min-heap worklist), and
-//! stored factor columns are sorted by row, so identical input columns
-//! always produce bit-identical factors and solves. Both solver backends
-//! lean on this for their bit-equality contract.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! ascending eliminated-column order (drained from a bitset over pivot
+//! positions), and stored factor columns are sorted by row, so identical
+//! input columns always produce bit-identical factors and solves. Both
+//! solver backends lean on this for their bit-equality contract.
 
 /// Sparse LU factors of a square matrix `B` with row permutation:
 /// `P·B = L·U` (up to the usual left-looking bookkeeping), where `L` is unit
-/// lower triangular and `U` upper triangular in the pivot ordering.
+/// lower triangular and `U` upper triangular in the pivot ordering. Both
+/// are stored column by column in flat CSC arrays.
 pub(crate) struct SparseLu {
     m: usize,
-    /// Column `k` of `L` below the diagonal: `(original_row, multiplier)`,
-    /// sorted by row. The unit diagonal is implicit.
-    l_cols: Vec<Vec<(u32, f64)>>,
-    /// Column `k` of `U` above the diagonal: `(pivot_position j < k, value)`,
-    /// sorted ascending by `j`.
-    u_cols: Vec<Vec<(u32, f64)>>,
+    /// Column `k` of `L` below the diagonal is
+    /// `l_row/l_val[l_ptr[k]..l_ptr[k + 1]]`: original rows and
+    /// multipliers, sorted by row. The unit diagonal is implicit.
+    l_ptr: Vec<usize>,
+    l_row: Vec<u32>,
+    l_val: Vec<f64>,
+    /// Column `k` of `U` above the diagonal is
+    /// `u_pos/u_val[u_ptr[k]..u_ptr[k + 1]]`: pivot positions `j < k` and
+    /// values, sorted ascending by `j`.
+    u_ptr: Vec<usize>,
+    u_pos: Vec<u32>,
+    u_val: Vec<f64>,
     /// Diagonal of `U` per pivot position.
     diag: Vec<f64>,
     /// Pivot position -> original row index.
     pivrow: Vec<u32>,
 }
+
+/// Marks an original row that has no pivot position yet.
+const UNPIVOTED: u32 = u32::MAX;
 
 impl SparseLu {
     /// The factorization of the `0×0` matrix: a placeholder until the
@@ -43,8 +58,12 @@ impl SparseLu {
     pub fn empty() -> Self {
         SparseLu {
             m: 0,
-            l_cols: Vec::new(),
-            u_cols: Vec::new(),
+            l_ptr: vec![0],
+            l_row: Vec::new(),
+            l_val: Vec::new(),
+            u_ptr: vec![0],
+            u_pos: Vec::new(),
+            u_val: Vec::new(),
             diag: Vec::new(),
             pivrow: Vec::new(),
         }
@@ -59,26 +78,37 @@ impl SparseLu {
         mut col: F,
         tol: f64,
     ) -> Option<Self> {
-        let mut l_cols: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
-        let mut u_cols: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
-        let mut diag = vec![0.0f64; m];
-        let mut pivrow = vec![0u32; m];
-        // Original row -> pivot position (u32::MAX while unpivoted).
-        let mut pinv = vec![u32::MAX; m];
+        let mut lu = SparseLu {
+            m,
+            l_ptr: Vec::with_capacity(m + 1),
+            l_row: Vec::new(),
+            l_val: Vec::new(),
+            u_ptr: Vec::with_capacity(m + 1),
+            u_pos: Vec::new(),
+            u_val: Vec::new(),
+            diag: vec![0.0; m],
+            pivrow: vec![0; m],
+        };
+        lu.l_ptr.push(0);
+        lu.u_ptr.push(0);
+        // Original row -> pivot position (UNPIVOTED while unpivoted).
+        let mut pinv = vec![UNPIVOTED; m];
 
         // Dense accumulator for the current column plus touch tracking.
         let mut x = vec![0.0f64; m];
         let mut in_x = vec![false; m];
         let mut touched: Vec<u32> = Vec::new();
         let mut buf: Vec<(u32, f64)> = Vec::new();
-        // Worklist of already-pivoted positions hit by this column, drained
-        // in ascending order (left-looking dependency order).
-        let mut pending: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
-        let mut queued = vec![false; m];
+        // Worklist of already-pivoted positions hit by this column, one bit
+        // per pivot position, drained in ascending order (left-looking
+        // dependency order).
+        let words = m.div_ceil(64);
+        let mut pending = vec![0u64; words];
 
         for k in 0..m {
             buf.clear();
             col(k, &mut buf);
+            let mut lo = words; // lowest word with a pending bit
             for &(r, v) in &buf {
                 let r = r as usize;
                 if !in_x[r] {
@@ -89,36 +119,43 @@ impl SparseLu {
                     x[r] += v;
                 }
                 let p = pinv[r];
-                if p != u32::MAX && !queued[p as usize] {
-                    queued[p as usize] = true;
-                    pending.push(Reverse(p));
+                if p != UNPIVOTED {
+                    let p = p as usize;
+                    pending[p / 64] |= 1 << (p % 64);
+                    lo = lo.min(p / 64);
                 }
             }
 
             // Left-looking elimination: apply every earlier column whose
             // pivot row this column touches, in ascending order. Applying
-            // column `j` may fill pivot rows of later columns, which are
-            // pushed as discovered.
-            let mut u_col: Vec<(u32, f64)> = Vec::new();
-            while let Some(Reverse(j)) = pending.pop() {
-                let ju = j as usize;
-                queued[ju] = false;
-                let pr = pivrow[ju] as usize;
-                let xv = x[pr];
+            // column `j` may fill pivot rows of later columns only (its `L`
+            // rows were unpivoted when `j` was factored), so their bits lie
+            // past the cursor.
+            let mut w = lo;
+            while w < words {
+                let bits = pending[w];
+                if bits == 0 {
+                    w += 1;
+                    continue;
+                }
+                pending[w] = bits & (bits - 1);
+                let j = w * 64 + bits.trailing_zeros() as usize;
+                let xv = x[lu.pivrow[j] as usize];
                 if xv != 0.0 {
-                    u_col.push((j, xv));
-                    for &(r, lv) in &l_cols[ju] {
-                        let r = r as usize;
+                    lu.u_pos.push(j as u32);
+                    lu.u_val.push(xv);
+                    for e in lu.l_ptr[j]..lu.l_ptr[j + 1] {
+                        let r = lu.l_row[e] as usize;
                         if !in_x[r] {
                             in_x[r] = true;
                             touched.push(r as u32);
                             x[r] = 0.0;
                         }
-                        x[r] -= xv * lv;
+                        x[r] -= xv * lu.l_val[e];
                         let p = pinv[r];
-                        if p != u32::MAX && !queued[p as usize] {
-                            queued[p as usize] = true;
-                            pending.push(Reverse(p));
+                        if p != UNPIVOTED {
+                            let p = p as usize;
+                            pending[p / 64] |= 1 << (p % 64);
                         }
                     }
                 }
@@ -130,7 +167,7 @@ impl SparseLu {
             let mut best_mag = tol;
             for &t in &touched {
                 let r = t as usize;
-                if pinv[r] != u32::MAX {
+                if pinv[r] != UNPIVOTED {
                     continue;
                 }
                 let mag = x[r].abs();
@@ -140,24 +177,22 @@ impl SparseLu {
                 }
             }
             let p = best?;
-            pivrow[k] = p as u32;
+            lu.pivrow[k] = p as u32;
             pinv[p] = k as u32;
-            diag[k] = x[p];
+            lu.diag[k] = x[p];
 
-            let mut l_col: Vec<(u32, f64)> = touched
-                .iter()
-                .filter_map(|&t| {
-                    let r = t as usize;
-                    if pinv[r] == u32::MAX && x[r] != 0.0 {
-                        Some((t, x[r] / diag[k]))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            l_col.sort_unstable_by_key(|&(r, _)| r);
-            l_cols.push(l_col);
-            u_cols.push(u_col);
+            let l_start = lu.l_row.len();
+            lu.l_row.extend(
+                touched
+                    .iter()
+                    .filter(|&&t| pinv[t as usize] == UNPIVOTED && x[t as usize] != 0.0),
+            );
+            lu.l_row[l_start..].sort_unstable();
+            let d = lu.diag[k];
+            lu.l_val
+                .extend(lu.l_row[l_start..].iter().map(|&r| x[r as usize] / d));
+            lu.l_ptr.push(lu.l_row.len());
+            lu.u_ptr.push(lu.u_pos.len());
 
             for &t in &touched {
                 x[t as usize] = 0.0;
@@ -165,14 +200,14 @@ impl SparseLu {
             }
             touched.clear();
         }
+        Some(lu)
+    }
 
-        Some(SparseLu {
-            m,
-            l_cols,
-            u_cols,
-            diag,
-            pivrow,
-        })
+    /// Stored entries: `L` below the diagonal, `U` above it, and the
+    /// diagonal.
+    #[cfg(test)]
+    pub fn nnz(&self) -> usize {
+        self.l_row.len() + self.u_pos.len() + self.m
     }
 
     /// Solves `B x = b` (FTRAN). `b` is in original row coordinates; the
@@ -192,23 +227,20 @@ impl SparseLu {
         for j in 0..self.m {
             let t = work[self.pivrow[j] as usize];
             if t != 0.0 {
-                for &(r, lv) in &self.l_cols[j] {
-                    work[r as usize] -= t * lv;
+                for e in self.l_ptr[j]..self.l_ptr[j + 1] {
+                    work[self.l_row[e] as usize] -= t * self.l_val[e];
                 }
             }
         }
         // Permute to pivot positions.
-        let mut y = vec![0.0f64; self.m];
-        for k in 0..self.m {
-            y[k] = work[self.pivrow[k] as usize];
-        }
+        let mut y: Vec<f64> = self.pivrow.iter().map(|&r| work[r as usize]).collect();
         // Back substitution with U, column sweep from the right.
         for k in (0..self.m).rev() {
             let xk = y[k] / self.diag[k];
             y[k] = xk;
             if xk != 0.0 {
-                for &(j, uv) in &self.u_cols[k] {
-                    y[j as usize] -= uv * xk;
+                for e in self.u_ptr[k]..self.u_ptr[k + 1] {
+                    y[self.u_pos[e] as usize] -= self.u_val[e] * xk;
                 }
             }
         }
@@ -232,8 +264,8 @@ impl SparseLu {
         let mut z = vec![0.0f64; self.m];
         for k in 0..self.m {
             let mut acc = work[k];
-            for &(j, uv) in &self.u_cols[k] {
-                acc -= uv * z[j as usize];
+            for e in self.u_ptr[k]..self.u_ptr[k + 1] {
+                acc -= self.u_val[e] * z[self.u_pos[e] as usize];
             }
             z[k] = acc / self.diag[k];
         }
@@ -242,8 +274,8 @@ impl SparseLu {
         // is pivoted strictly later than j, so descending order is safe.
         for j in (0..self.m).rev() {
             let mut acc = z[j];
-            for &(r, lv) in &self.l_cols[j] {
-                acc -= lv * work[r as usize];
+            for e in self.l_ptr[j]..self.l_ptr[j + 1] {
+                acc -= self.l_val[e] * work[self.l_row[e] as usize];
             }
             work[self.pivrow[j] as usize] = acc;
         }
@@ -253,6 +285,175 @@ impl SparseLu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// A reference kernel: one `Vec` per factor column and a min-heap
+    /// worklist. `SparseLu` must perform the same operations in the same
+    /// order, so both give the same bits.
+    struct HeapLu {
+        m: usize,
+        l_cols: Vec<Vec<(u32, f64)>>,
+        u_cols: Vec<Vec<(u32, f64)>>,
+        diag: Vec<f64>,
+        pivrow: Vec<u32>,
+    }
+
+    impl HeapLu {
+        fn factorize<F: FnMut(usize, &mut Vec<(u32, f64)>)>(
+            m: usize,
+            mut col: F,
+            tol: f64,
+        ) -> Option<Self> {
+            let mut l_cols: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
+            let mut u_cols: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
+            let mut diag = vec![0.0f64; m];
+            let mut pivrow = vec![0u32; m];
+            let mut pinv = vec![u32::MAX; m];
+            let mut x = vec![0.0f64; m];
+            let mut in_x = vec![false; m];
+            let mut touched: Vec<u32> = Vec::new();
+            let mut buf: Vec<(u32, f64)> = Vec::new();
+            let mut pending: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
+            let mut queued = vec![false; m];
+
+            for k in 0..m {
+                buf.clear();
+                col(k, &mut buf);
+                for &(r, v) in &buf {
+                    let r = r as usize;
+                    if !in_x[r] {
+                        in_x[r] = true;
+                        touched.push(r as u32);
+                        x[r] = v;
+                    } else {
+                        x[r] += v;
+                    }
+                    let p = pinv[r];
+                    if p != u32::MAX && !queued[p as usize] {
+                        queued[p as usize] = true;
+                        pending.push(Reverse(p));
+                    }
+                }
+                let mut u_col: Vec<(u32, f64)> = Vec::new();
+                while let Some(Reverse(j)) = pending.pop() {
+                    let ju = j as usize;
+                    queued[ju] = false;
+                    let xv = x[pivrow[ju] as usize];
+                    if xv != 0.0 {
+                        u_col.push((j, xv));
+                        for &(r, lv) in &l_cols[ju] {
+                            let r = r as usize;
+                            if !in_x[r] {
+                                in_x[r] = true;
+                                touched.push(r as u32);
+                                x[r] = 0.0;
+                            }
+                            x[r] -= xv * lv;
+                            let p = pinv[r];
+                            if p != u32::MAX && !queued[p as usize] {
+                                queued[p as usize] = true;
+                                pending.push(Reverse(p));
+                            }
+                        }
+                    }
+                }
+                let mut best: Option<usize> = None;
+                let mut best_mag = tol;
+                for &t in &touched {
+                    let r = t as usize;
+                    if pinv[r] != u32::MAX {
+                        continue;
+                    }
+                    let mag = x[r].abs();
+                    if mag > best_mag || (mag == best_mag && best.is_some_and(|b| r < b)) {
+                        best_mag = mag;
+                        best = Some(r);
+                    }
+                }
+                let p = best?;
+                pivrow[k] = p as u32;
+                pinv[p] = k as u32;
+                diag[k] = x[p];
+                let mut l_col: Vec<(u32, f64)> = touched
+                    .iter()
+                    .filter_map(|&t| {
+                        let r = t as usize;
+                        (pinv[r] == u32::MAX && x[r] != 0.0).then(|| (t, x[r] / diag[k]))
+                    })
+                    .collect();
+                l_col.sort_unstable_by_key(|&(r, _)| r);
+                l_cols.push(l_col);
+                u_cols.push(u_col);
+                for &t in &touched {
+                    x[t as usize] = 0.0;
+                    in_x[t as usize] = false;
+                }
+                touched.clear();
+            }
+            Some(HeapLu {
+                m,
+                l_cols,
+                u_cols,
+                diag,
+                pivrow,
+            })
+        }
+
+        fn solve(&self, b: &[f64]) -> Vec<f64> {
+            let mut work = b.to_vec();
+            for j in 0..self.m {
+                let t = work[self.pivrow[j] as usize];
+                if t != 0.0 {
+                    for &(r, lv) in &self.l_cols[j] {
+                        work[r as usize] -= t * lv;
+                    }
+                }
+            }
+            let mut y: Vec<f64> = self.pivrow.iter().map(|&r| work[r as usize]).collect();
+            for k in (0..self.m).rev() {
+                let xk = y[k] / self.diag[k];
+                y[k] = xk;
+                if xk != 0.0 {
+                    for &(j, uv) in &self.u_cols[k] {
+                        y[j as usize] -= uv * xk;
+                    }
+                }
+            }
+            y
+        }
+
+        fn solve_transpose(&self, c: &[f64]) -> Vec<f64> {
+            let mut work = c.to_vec();
+            let mut z = vec![0.0f64; self.m];
+            for k in 0..self.m {
+                let mut acc = work[k];
+                for &(j, uv) in &self.u_cols[k] {
+                    acc -= uv * z[j as usize];
+                }
+                z[k] = acc / self.diag[k];
+            }
+            for j in (0..self.m).rev() {
+                let mut acc = z[j];
+                for &(r, lv) in &self.l_cols[j] {
+                    acc -= lv * work[r as usize];
+                }
+                work[self.pivrow[j] as usize] = acc;
+            }
+            work
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn factor_cols(cols: &[Vec<(u32, f64)>]) -> Option<SparseLu> {
+        SparseLu::factorize(cols.len(), |k, out| out.extend_from_slice(&cols[k]), 1e-11)
+    }
 
     fn dense_cols(a: &[&[f64]]) -> Vec<Vec<(u32, f64)>> {
         let m = a.len();
@@ -270,9 +471,7 @@ mod tests {
 
     fn check_roundtrip(a: &[&[f64]]) {
         let m = a.len();
-        let cols = dense_cols(a);
-        let lu = SparseLu::factorize(m, |k, out| out.extend_from_slice(&cols[k]), 1e-11)
-            .expect("nonsingular");
+        let lu = factor_cols(&dense_cols(a)).expect("nonsingular");
         // B x = b.
         let b: Vec<f64> = (0..m).map(|i| (i as f64) - 1.5).collect();
         let x = lu.solve(&b);
@@ -314,27 +513,102 @@ mod tests {
     #[test]
     fn singular_matrix_is_rejected() {
         let a: &[&[f64]] = &[&[1.0, 2.0], &[2.0, 4.0]];
-        let cols = dense_cols(a);
-        assert!(SparseLu::factorize(2, |k, out| out.extend_from_slice(&cols[k]), 1e-11).is_none());
+        assert!(factor_cols(&dense_cols(a)).is_none());
+    }
+
+    /// A random `m×m` column set shaped like a simplex basis: about half
+    /// unit columns (slacks, artificials), the rest sparse structural
+    /// columns with an occasional duplicate row entry (which `factorize`
+    /// sums). About one structural column per draw loses the entry on its
+    /// own row, so about a third of the draws are singular.
+    fn random_basis(m: usize, seed: u64) -> Vec<Vec<(u32, f64)>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows: Vec<u32> = (0..m as u32).collect();
+        for i in (1..m).rev() {
+            rows.swap(i, rng.gen_range(0..=i));
+        }
+        rows.iter()
+            .map(|&r| {
+                if rng.gen_bool(0.5) {
+                    return vec![(r, if rng.gen_bool(0.5) { 1.0 } else { -1.0 })];
+                }
+                let mut col = vec![(r, rng.gen_range(1..9) as f64 / 4.0)];
+                for _ in 0..rng.gen_range(0..6) {
+                    let row = rng.gen_range(0..m as u32);
+                    col.push((row, rng.gen_range(-8..9) as f64 / 8.0));
+                    if rng.gen_bool(0.1) {
+                        col.push((row, 0.5));
+                    }
+                }
+                if rng.gen_bool(1.0 / m as f64) {
+                    col.remove(0);
+                }
+                col
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The flat kernel gives the heap oracle's bits: the same singular
+        /// rejections and bit-identical FTRAN and BTRAN results, on
+        /// matrices large enough for the worklist to span several words.
+        #[test]
+        fn flat_kernel_matches_the_heap_oracle(m in 1usize..200, seed in 0u64..u64::MAX) {
+            let cols = random_basis(m, seed);
+            let flat = factor_cols(&cols);
+            let heap = HeapLu::factorize(m, |k, out| out.extend_from_slice(&cols[k]), 1e-11);
+            prop_assert_eq!(flat.is_some(), heap.is_some());
+            if let (Some(flat), Some(heap)) = (flat, heap) {
+                let b: Vec<f64> = (0..m).map(|i| (i % 7) as f64 - 2.5).collect();
+                prop_assert_eq!(bits(&flat.solve(&b)), bits(&heap.solve(&b)));
+                prop_assert_eq!(
+                    bits(&flat.solve_transpose(&b)),
+                    bits(&heap.solve_transpose(&b))
+                );
+            }
+        }
     }
 
     #[test]
     fn deterministic_factors() {
-        let a: &[&[f64]] = &[
-            &[2.0, 1.0, 0.0, 0.5],
-            &[0.0, 3.0, -1.0, 0.0],
-            &[1.0, 0.0, 1.0, 0.0],
-            &[0.0, 0.0, 4.0, 1.0],
-        ];
-        let cols = dense_cols(a);
-        let f = || SparseLu::factorize(4, |k, out| out.extend_from_slice(&cols[k]), 1e-11).unwrap();
-        let (l1, l2) = (f(), f());
-        let b = [1.0, -2.0, 3.0, 0.5];
-        let x1 = l1.solve(&b);
-        let x2 = l2.solve(&b);
-        assert_eq!(
-            x1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            x2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        for m in [4, 65, 150] {
+            let cols = (0..u64::MAX)
+                .map(|seed| random_basis(m, seed))
+                .find(|cols| factor_cols(cols).is_some())
+                .expect("a nonsingular draw");
+            let (l1, l2) = (factor_cols(&cols).unwrap(), factor_cols(&cols).unwrap());
+            let b: Vec<f64> = (0..m).map(|i| 1.0 - (i % 5) as f64 * 0.75).collect();
+            assert_eq!(bits(&l1.solve(&b)), bits(&l2.solve(&b)), "m = {m}");
+            assert_eq!(
+                bits(&l1.solve_transpose(&b)),
+                bits(&l2.solve_transpose(&b)),
+                "m = {m}"
+            );
+        }
+    }
+
+    /// One dense structural column plus `m − 1` unit columns. With the
+    /// unit columns first, every unit pivots on its own row and the dense
+    /// column only lands in `U`: no entry beyond the input's. With the
+    /// dense column first, it pivots on row 0 and leaves a dense `L`
+    /// column; each unit column after it then picks up the fill of the one
+    /// before, `O(m²)` in all. This is why the simplex factors unit
+    /// columns first.
+    #[test]
+    fn unit_columns_first_factor_without_fill() {
+        let m = 100;
+        let dense: Vec<(u32, f64)> = (0..m as u32).map(|r| (r, 1.0)).collect();
+        let units: Vec<Vec<(u32, f64)>> = (0..m as u32 - 1).map(|r| vec![(r, 1.0)]).collect();
+        let input_nnz = 2 * m - 1;
+
+        let unit_first: Vec<_> = units.iter().cloned().chain([dense.clone()]).collect();
+        let lu = factor_cols(&unit_first).expect("nonsingular");
+        assert_eq!(lu.nnz(), input_nnz);
+
+        let dense_first: Vec<_> = [dense].into_iter().chain(units).collect();
+        let lu = factor_cols(&dense_first).expect("nonsingular");
+        assert!(lu.nnz() >= m * (m - 1) / 2, "fill {}", lu.nnz());
     }
 }

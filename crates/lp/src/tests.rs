@@ -2,6 +2,7 @@
 
 use crate::norm::{rows_satisfied, NormSystem};
 use crate::presolve::Presolve;
+use crate::revised::REFACTOR_EVERY;
 use crate::{LpError, Problem, Relation};
 use proptest::prelude::*;
 
@@ -719,6 +720,23 @@ fn dense_feasibility_check_rejects_violated_rows() {
     assert!(!rows_satisfied(&sys, &[1.0, 0.0])); // ≥ row
     assert!(!rows_satisfied(&sys, &[f64::NAN, 1.0]));
     assert!(!rows_satisfied(&sys, &[1.5e18, -1.5e18]));
+}
+
+/// A placement LP large enough that the sparse solve crosses several
+/// refactorizations (the eta file holds at most `REFACTOR_EVERY` etas),
+/// and it still matches the dense oracle bit for bit.
+#[test]
+#[cfg(not(miri))]
+fn placement_lp_across_refactorizations_matches_the_dense_oracle() {
+    let n = 30;
+    let data: Vec<u8> = (0..n).map(|x| (x * 7 % 11) as u8).collect();
+    let tasks: Vec<u8> = (0..n).map(|x| (x * 5 % 9) as u8).collect();
+    let up: Vec<u8> = (0..n).map(|x| 1 + (x % 5) as u8).collect();
+    let slots: Vec<u8> = (0..n).map(|x| 1 + (x * 3 % 8) as u8).collect();
+    let (p, _, _) = placement_lp(&data, &tasks, &up, &slots, &[0, 1, 2], 4, 30, 2, &[3, 17]);
+    let sol = p.solve().unwrap();
+    assert!(sol.pivots > 2 * REFACTOR_EVERY, "pivots {}", sol.pivots);
+    solve_both(&p).unwrap();
 }
 
 /// A map-placement-shaped LP over `n` sources, built so that both presolve
