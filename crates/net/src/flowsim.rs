@@ -7,22 +7,23 @@
 //! completes when the clock reaches `d + size`.
 //!
 //! The per-event costs are incremental: rate recomputation reuses a
-//! persistent [`Waterfiller`] and refills only the link components touched
-//! by mutations since the last refresh; the next completion comes from a
-//! global ETA min-heap whose entries are generation-stamped (per-group
-//! stamps for membership/rate changes, a global epoch for clock movement)
-//! instead of a linear scan; and time advancement walks a live-group list,
-//! so `(src, dst)` pairs that once carried a flow but drained long ago cost
-//! nothing. Refills are deferred to the query that needs rates: when a flow
-//! has already drained at the current instant (a reduce stage's equal-size
-//! fetches finish together), the next completion is answered without one,
-//! so a burst of same-instant completions costs one refill, not one each.
-//! Which group holds such a flow is read from per-group due/tie bit flags,
-//! recomputed for one group per flow mutation and for all live groups once
-//! per instant, so a query costs a scan of bitset words, not of groups.
-//! All of it is exact: the arithmetic — and therefore every simulated
-//! timestamp and byte count — is bit-identical to recomputing the world
-//! from scratch at every event.
+//! persistent [`Waterfiller`], told of every group count change and
+//! capacity change, which resumes its last fill at the first saturation
+//! those mutations can change and reports only the groups it re-froze; the
+//! next completion comes from a global ETA min-heap whose entries are
+//! generation-stamped (per-group stamps for membership/rate changes, a
+//! global epoch for clock movement) instead of a linear scan; and time
+//! advancement walks a live-group list, so `(src, dst)` pairs that once
+//! carried a flow but drained long ago cost nothing. Refills are deferred
+//! to the query that needs rates: when a flow has already drained at the
+//! current instant (a reduce stage's equal-size fetches finish together),
+//! the next completion is answered without one, so a burst of same-instant
+//! completions costs one refill, not one each. Which group holds such a
+//! flow is read from per-group due/tie bit flags, recomputed for one group
+//! per flow mutation and for all live groups once per instant, so a query
+//! costs a scan of bitset words, not of groups. All of it is exact: the
+//! arithmetic — and therefore every simulated timestamp and byte count — is
+//! bit-identical to recomputing the world from scratch at every event.
 
 use crate::maxmin::Waterfiller;
 use std::cmp::Reverse;
@@ -173,8 +174,8 @@ struct EtaEntry {
 /// calls [`FlowSim::advance_to`] to move the clock forward — draining bytes
 /// at the current max-min rates — and uses [`FlowSim::next_completion`] to
 /// schedule its next network event. Rates are recomputed lazily whenever the
-/// flow set or link capacities change, and incrementally: only the link
-/// components touched since the last refresh are refilled.
+/// flow set or link capacities change, and incrementally: the refill resumes
+/// at the first saturation the changes since the last refresh can move.
 ///
 /// Local flows (`src == dst`) complete instantly (zero remaining time), as
 /// local reads do not cross the WAN in the paper's model.
@@ -213,7 +214,8 @@ pub struct FlowSim {
     /// so the order is not insertion order.
     locals: Vec<usize>,
     dirty: bool,
-    /// Persistent waterfilling scratch + dirty-link set.
+    /// Resumable max-min state: per-link membership, the last fill's
+    /// record and the dirty-link set.
     wf: Waterfiller,
     /// Global ETA heap over live groups; see [`EtaEntry`].
     eta_heap: BinaryHeap<Reverse<EtaEntry>>,
@@ -377,12 +379,12 @@ impl FlowSim {
             let grp = &mut self.groups[g];
             grp.count += 1;
             grp.heap.push(Reverse((key(grp.drained + gb), idx)));
-            let join = grp.drained;
-            if grp.count == 1 {
+            let (join, count) = (grp.drained, grp.count);
+            if count == 1 {
                 self.live_insert(g);
             }
             self.mark_group_stale(g);
-            self.wf.mark_pair_dirty(src.index(), dst.index());
+            self.wf.set_count(g, src.index(), dst.index(), count);
             self.dirty = true;
             self.cached_next = None;
             (Some(g), join, 0)
@@ -434,7 +436,7 @@ impl FlowSim {
                 self.mark_group_stale(g);
                 self.update_flag(g);
                 let (src, dst) = (self.groups[g].src, self.groups[g].dst);
-                self.wf.mark_pair_dirty(src, dst);
+                self.wf.set_count(g, src, dst, self.groups[g].count);
                 self.dirty = true;
                 // Refund WAN accounting for unsent bytes of a cancelled flow.
                 self.total_wan_gb -= remaining;
@@ -473,7 +475,7 @@ impl FlowSim {
         assert!(up_gbps >= 0.0 && down_gbps >= 0.0 && up_gbps.is_finite() && down_gbps.is_finite());
         self.up_gbps[site.index()] = up_gbps;
         self.down_gbps[site.index()] = down_gbps;
-        self.wf.mark_pair_dirty(site.index(), site.index());
+        self.wf.mark_site_dirty(site.index());
         self.dirty = true;
         self.flags.stale = true;
         self.cached_next = None;
@@ -751,24 +753,15 @@ impl FlowSim {
         self.obs_down = down;
     }
 
-    /// Recomputes the rates of groups in mutated link components if any
-    /// mutation happened since the last refresh; untouched components keep
-    /// their (still exact) rates.
+    /// Brings rates up to date if any mutation happened since the last
+    /// refresh: the groups the resumed refill re-froze get their new rates,
+    /// every other group keeps its (still exact) one.
     fn refresh(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
-        let groups = &self.groups;
-        self.wf.refill(
-            &self.live,
-            |g| {
-                let gr = &groups[g];
-                (gr.src, gr.dst, gr.count)
-            },
-            &self.up_gbps,
-            &self.down_gbps,
-        );
+        self.wf.refill(&self.up_gbps, &self.down_gbps);
         for i in 0..self.wf.refilled().len() {
             let (g, r) = self.wf.refilled()[i];
             if self.groups[g].rate.to_bits() != r.to_bits() {
@@ -790,7 +783,7 @@ impl FlowSim {
     /// Invariants:
     /// 1. Every live group's per-flow rate is **bit-exact** equal to a
     ///    from-scratch [`crate::waterfill_groups`] over the same groups and
-    ///    capacities (the dirty-component refill contract).
+    ///    capacities (the resumed refill contract).
     /// 2. Per-link conservation: Σ (rate × count) over groups crossing a
     ///    link never exceeds its capacity (tiny relative tolerance for the
     ///    summation order).
@@ -1282,14 +1275,14 @@ mod tests {
         let (_, t) = sim.next_completion().unwrap();
         assert_eq!(t, 6.0); // 0.5 GB/s each on the shared 8 GB/s uplink.
         sim.advance_to(t);
-        let before = sim.wf.epoch();
+        let before = sim.wf.refills();
         let mut done = Vec::new();
         while let Some((k, tk)) = sim.next_completion() {
             assert_eq!(tk, t);
             assert_eq!(sim.remove_flow(k), 0.0);
             done.push(k);
         }
-        assert_eq!(sim.wf.epoch() - before, 1);
+        assert_eq!(sim.wf.refills() - before, 1);
         done.sort_by_key(FlowKey::index);
         assert_eq!(done, keys);
     }

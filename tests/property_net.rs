@@ -171,9 +171,10 @@ proptest! {
 
     /// Capacity-churn-heavy differential check: `set_capacity` dominates the
     /// interleaving, so nearly every step dirties a link pair and forces a
-    /// scoped refill whose result must still match the from-scratch
-    /// oracle. This pins the dirty-link bookkeeping (mask reset, union-find
-    /// scoping, full-fill fallback) under sustained capacity movement.
+    /// resumed refill whose result must still match the from-scratch
+    /// oracle. This pins the dirty-link bookkeeping (mask reset, the
+    /// replayed resume step, rollback of the fill record) under sustained
+    /// capacity movement.
     #[test]
     fn flowsim_matches_oracle_under_capacity_churn(
         (up, down) in caps_strategy(),
@@ -396,21 +397,21 @@ proptest! {
 
     /// 1000-site churn: a persistent [`Waterfiller`] fed a *sparse* live
     /// pair set (the regime the sorted sparse pair index exists for) under
-    /// count mutations and capacity-independent dirty marking must match
-    /// the from-scratch [`waterfill_groups`] fill bit for bit at every
-    /// step. Guards the O(live pairs) group state against scale: dense
-    /// n²-pair scratch would OOM or crawl at this site count long before
-    /// the assertions fire.
+    /// count mutations and capacity changes (zero included) must match the
+    /// from-scratch [`waterfill_groups`] fill bit for bit at every step.
+    /// Guards the O(live pairs) group state against scale: dense n²-pair
+    /// scratch would OOM or crawl at this site count long before the
+    /// assertions fire.
     #[test]
     fn thousand_site_incremental_refill_matches_full_fill(
         pair_seeds in proptest::collection::vec((0usize..1000, 1usize..1000), 20..60),
         caps in proptest::collection::vec(1u32..80, 64),
-        steps in proptest::collection::vec((0usize..60, 0u8..3, 1u32..4), 30..80),
+        steps in proptest::collection::vec((0usize..60, 0u8..4, 1u32..4), 30..80),
     ) {
         use tetrium::net::{waterfill_groups, GroupSpec, Waterfiller};
         let n = 1000;
-        let up: Vec<f64> = (0..n).map(|i| caps[i % caps.len()] as f64 * 0.05).collect();
-        let down: Vec<f64> = (0..n).map(|i| caps[(i * 7 + 3) % caps.len()] as f64 * 0.05).collect();
+        let mut up: Vec<f64> = (0..n).map(|i| caps[i % caps.len()] as f64 * 0.05).collect();
+        let mut down: Vec<f64> = (0..n).map(|i| caps[(i * 7 + 3) % caps.len()] as f64 * 0.05).collect();
         // Sparse live pair universe: tens of pairs over a thousand sites.
         let mut pairs: Vec<(usize, usize)> = pair_seeds
             .into_iter()
@@ -425,15 +426,22 @@ proptest! {
         let mut wf = Waterfiller::new(n);
         for (step, (pick, op, delta)) in steps.into_iter().enumerate() {
             let g = pick % pairs.len();
+            let (s, d) = pairs[g];
             match op {
                 0 => counts[g] += delta as usize,
                 1 if counts[g] > 0 => counts[g] -= 1,
+                // A capacity change on the pair's source site: its uplink
+                // drops to 0 (an outage) or moves, and its downlink moves.
+                3 => {
+                    up[s] = if delta == 1 { 0.0 } else { caps[(pick + step) % caps.len()] as f64 * 0.05 };
+                    down[s] = caps[(pick * 3 + step) % caps.len()] as f64 * 0.05;
+                    wf.mark_site_dirty(s);
+                }
                 _ => counts[g] += 1,
             }
-            let (s, d) = pairs[g];
-            wf.mark_pair_dirty(s, d);
+            wf.set_count(g, s, d, counts[g]);
             let live: Vec<usize> = (0..pairs.len()).filter(|&g| counts[g] > 0).collect();
-            wf.refill(&live, |g| (pairs[g].0, pairs[g].1, counts[g]), &up, &down);
+            wf.refill(&up, &down);
             for &(g, r) in wf.refilled() {
                 rates[g] = r;
             }
