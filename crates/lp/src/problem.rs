@@ -161,8 +161,9 @@ impl Problem {
     /// function of the problem, not of the pivot path.
     ///
     /// Returns [`LpError::Infeasible`] when no assignment satisfies all
-    /// constraints and [`LpError::Unbounded`] when the objective can improve
-    /// without limit.
+    /// constraints, [`LpError::Unbounded`] when the objective can improve
+    /// without limit, and [`LpError::SingularBasis`] when a refactorization
+    /// meets a numerically singular basis (no basis repair is attempted).
     pub fn solve(&self) -> Result<Solution, LpError> {
         // Normalize to a minimization problem; flip the objective back at the
         // end for maximization.

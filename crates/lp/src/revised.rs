@@ -116,7 +116,9 @@ impl<'a> Rev<'a> {
     /// Rebuilds the LU factorization of the current basis and recomputes the
     /// basic values from scratch. The basis positions are first stable-sorted
     /// with the unit columns (slacks, artificials) ahead of the structural
-    /// ones, so the units pivot on their own rows without fill.
+    /// ones, so the units pivot on their own rows without fill. Fails with
+    /// [`LpError::SingularBasis`] when some column finds no pivot above
+    /// [`LU_TOL`] (the basis is numerically singular).
     fn refactor(&mut self) -> Result<(), LpError> {
         let m = self.sys.m();
         let sys = self.sys;
@@ -128,7 +130,7 @@ impl<'a> Rev<'a> {
             |k, out| sys.for_col(cols[k], |r, v| out.push((r as u32, v))),
             LU_TOL,
         )
-        .ok_or(LpError::IterationLimit)?;
+        .ok_or(LpError::SingularBasis)?;
         self.etas.clear();
         let at_upper = self.at_upper();
         let mut b = bounded_rhs(self.sys, &self.ub[..self.sys.num_vars], &at_upper);
@@ -558,5 +560,22 @@ mod tests {
         rev.refactor().unwrap();
         assert_eq!(rev.basis_cols[m - 1], 0);
         assert_eq!(rev.lu.nnz(), 2 * m - 1);
+    }
+
+    /// A basis holding one column at two positions is singular, and
+    /// `Rev::refactor` says so with its own error.
+    #[test]
+    fn refactor_reports_a_repeated_column_as_singular() {
+        let mut p = Problem::minimize(2);
+        p.add_constraint(&[(0, 1.0), (1, 2.0)], Relation::Le, 4.0);
+        p.add_constraint(&[(0, 3.0), (1, 1.0)], Relation::Le, 6.0);
+        let sys = NormSystem::build(2, p.constraints());
+        let mut rev = Rev::new(&sys, &[f64::INFINITY; 2]).unwrap();
+        rev.basis_cols = vec![0, 0];
+        assert_eq!(rev.refactor().err(), Some(LpError::SingularBasis));
+        assert_eq!(
+            LpError::SingularBasis.to_string(),
+            "simplex basis is numerically singular"
+        );
     }
 }

@@ -28,6 +28,8 @@ pub enum LpError {
     Unbounded,
     /// The pivot-iteration limit was exceeded (numerical trouble).
     IterationLimit,
+    /// A basis refactorization found the basis numerically singular.
+    SingularBasis,
 }
 
 impl std::fmt::Display for LpError {
@@ -36,6 +38,7 @@ impl std::fmt::Display for LpError {
             LpError::Infeasible => write!(f, "linear program is infeasible"),
             LpError::Unbounded => write!(f, "linear program is unbounded"),
             LpError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
+            LpError::SingularBasis => write!(f, "simplex basis is numerically singular"),
         }
     }
 }

@@ -9,21 +9,23 @@
 //! The per-event costs are incremental: rate recomputation reuses a
 //! persistent [`Waterfiller`], told of every group count change and
 //! capacity change, which resumes its last fill at the first saturation
-//! those mutations can change and reports only the groups it re-froze; the
-//! next completion comes from a global ETA min-heap whose entries are
-//! generation-stamped (per-group stamps for membership/rate changes, a
-//! global epoch for clock movement) instead of a linear scan; and time
-//! advancement walks a live-group list, so `(src, dst)` pairs that once
-//! carried a flow but drained long ago cost nothing. Refills are deferred
-//! to the query that needs rates: when a flow has already drained at the
-//! current instant (a reduce stage's equal-size fetches finish together),
-//! the next completion is answered without one, so a burst of same-instant
-//! completions costs one refill, not one each. Which group holds such a
-//! flow is read from per-group due/tie bit flags, recomputed for one group
-//! per flow mutation and for all live groups once per instant, so a query
-//! costs a scan of bitset words, not of groups. All of it is exact: the
-//! arithmetic — and therefore every simulated timestamp and byte count — is
-//! bit-identical to recomputing the world from scratch at every event.
+//! those mutations can change and reports only the groups it re-froze; each
+//! group caches its earliest member, updated only when its membership
+//! changes; and time advancement walks a live-group list, so `(src, dst)`
+//! pairs that once carried a flow but drained long ago cost nothing. A
+//! clock move is one pass over the live groups, which drains each and
+//! recomputes its due/tie bit flag; a query that needs rates is one refill
+//! and one scan of the live groups for the minimum `(eta, group)`. Refills
+//! are deferred to the query that needs rates: when a flow has already
+//! drained at the current instant (a reduce stage's equal-size fetches
+//! finish together), the next completion is answered without one, so a
+//! burst of same-instant completions costs one refill, not one each. Which
+//! group holds such a flow is read from the due/tie flags, kept fresh for
+//! one group per flow mutation and for all live groups per clock move or
+//! capacity change, so a query costs a scan of bitset words, not of groups.
+//! All of it is exact: the arithmetic — and therefore every simulated
+//! timestamp and byte count — is bit-identical to recomputing the world
+//! from scratch at every event.
 
 use crate::maxmin::Waterfiller;
 use std::cmp::Reverse;
@@ -68,12 +70,10 @@ struct Group {
     /// Completion thresholds `(join_drain + size, flow index)`, min-first;
     /// entries for removed flows are discarded lazily.
     heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Generation stamp: bumped whenever the group's ETA inputs change
-    /// (membership or a bitwise rate change), invalidating its entry in
-    /// the global ETA heap.
-    eta_stamp: u32,
-    /// Whether the group is already queued for an ETA re-push.
-    stale_queued: bool,
+    /// The minimum valid heap entry (`None` when the group is empty), which
+    /// is also the heap's top: `add_flow` lowers it, and `remove_flow` of
+    /// the top flow pops the heap down to the next valid entry.
+    top: Option<(u64, usize)>,
 }
 
 /// Orders non-negative f64 thresholds as u64 keys.
@@ -82,7 +82,7 @@ fn key(v: f64) -> u64 {
 }
 
 /// Maps any non-NaN f64 to a u64 that orders like the float (negative
-/// values included), for use as a heap key.
+/// values included, `-0.0` below `0.0`), for use as an ordering key.
 fn ord_key(v: f64) -> u64 {
     let b = v.to_bits();
     if b >> 63 == 1 {
@@ -112,8 +112,6 @@ fn due_flag(now: f64, rem: f64, cap: f64) -> Option<bool> {
 struct DueFlags {
     any: Vec<u64>,
     due: Vec<u64>,
-    /// The clock or a capacity moved: every flag awaits a recompute.
-    stale: bool,
 }
 
 impl DueFlags {
@@ -146,26 +144,6 @@ impl DueFlags {
         let w = self.any.iter().position(|&a| a != 0)?;
         Some(w * 64 + self.any[w].trailing_zeros() as usize)
     }
-
-    fn clear(&mut self) {
-        self.any.fill(0);
-        self.due.fill(0);
-    }
-}
-
-/// An entry in the global ETA heap: the earliest completion of one group,
-/// ordered by `(eta, group index)` so ties resolve to the lowest group —
-/// the same winner the previous linear scan produced. Entries are validated
-/// lazily on pop: one is live only while its group stamp and the global
-/// time epoch still match.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct EtaEntry {
-    ord: u64,
-    group: usize,
-    eta_bits: u64,
-    flow: usize,
-    stamp: u32,
-    epoch: u64,
 }
 
 /// Fluid simulation of concurrent WAN transfers.
@@ -217,17 +195,7 @@ pub struct FlowSim {
     /// Resumable max-min state: per-link membership, the last fill's
     /// record and the dirty-link set.
     wf: Waterfiller,
-    /// Global ETA heap over live groups; see [`EtaEntry`].
-    eta_heap: BinaryHeap<Reverse<EtaEntry>>,
-    /// Bumped whenever `now` changes bitwise: ETAs are computed from
-    /// `(now, drained)` and must be re-derived once the clock moves so the
-    /// arithmetic matches a from-scratch scan bit for bit.
-    time_epoch: u64,
-    /// All live groups need fresh ETA entries (set when the clock moves).
-    all_stale: bool,
-    /// Groups needing an ETA re-push (membership or rate changed).
-    stale: Vec<usize>,
-    /// Which live groups are due or could tie at `now`; see
+    /// Which live groups are due or could tie at `now`, always fresh; see
     /// [`FlowSim::due_now`].
     flags: DueFlags,
     /// Memoized result of [`FlowSim::next_completion`]: completion times are
@@ -270,10 +238,6 @@ impl FlowSim {
             locals: Vec::new(),
             dirty: false,
             wf: Waterfiller::new(n),
-            eta_heap: BinaryHeap::new(),
-            time_epoch: 0,
-            all_stale: false,
-            stale: Vec::new(),
             flags: DueFlags::default(),
             cached_next: None,
             obs: Obs::disabled(),
@@ -309,17 +273,6 @@ impl FlowSim {
     /// Number of in-flight flows.
     pub fn active_flows(&self) -> usize {
         self.active
-    }
-
-    /// Bumps a group's ETA generation and queues it for a re-push into the
-    /// global heap at the next query.
-    fn mark_group_stale(&mut self, g: usize) {
-        let grp = &mut self.groups[g];
-        grp.eta_stamp = grp.eta_stamp.wrapping_add(1);
-        if !grp.stale_queued {
-            grp.stale_queued = true;
-            self.stale.push(g);
-        }
     }
 
     fn live_insert(&mut self, g: usize) {
@@ -371,19 +324,24 @@ impl FlowSim {
                         rate: 0.0,
                         drained: 0.0,
                         heap: BinaryHeap::new(),
-                        eta_stamp: 0,
-                        stale_queued: false,
+                        top: None,
                     });
                     self.groups.len() - 1
                 });
             let grp = &mut self.groups[g];
             grp.count += 1;
-            grp.heap.push(Reverse((key(grp.drained + gb), idx)));
+            // The old top stays valid (the free list hands out only indices
+            // of removed flows), so the new minimum is the lower of the two.
+            let entry = (key(grp.drained + gb), idx);
+            grp.heap.push(Reverse(entry));
+            if grp.top.is_none_or(|top| entry < top) {
+                grp.top = Some(entry);
+            }
             let (join, count) = (grp.drained, grp.count);
             if count == 1 {
                 self.live_insert(g);
             }
-            self.mark_group_stale(g);
+            self.update_flag(g);
             self.wf.set_count(g, src.index(), dst.index(), count);
             self.dirty = true;
             self.cached_next = None;
@@ -396,11 +354,6 @@ impl FlowSim {
             local_pos,
             alive: true,
         };
-        // After the record is written: `group_top` would discard the new
-        // flow's heap entry as invalid before it.
-        if let Some(g) = group {
-            self.update_flag(g);
-        }
         self.active += 1;
         if !local && self.obs.is_enabled() {
             self.obs_pending = true;
@@ -429,11 +382,12 @@ impl FlowSim {
         match rec.group {
             Some(g) => {
                 self.groups[g].count -= 1;
-                // Heap entries are discarded lazily when popped.
+                if self.groups[g].top.is_some_and(|(_, i)| i == fkey.0) {
+                    self.pop_top(g);
+                }
                 if self.groups[g].count == 0 {
                     self.live_remove(g);
                 }
-                self.mark_group_stale(g);
                 self.update_flag(g);
                 let (src, dst) = (self.groups[g].src, self.groups[g].dst);
                 self.wf.set_count(g, src, dst, self.groups[g].count);
@@ -477,7 +431,11 @@ impl FlowSim {
         self.down_gbps[site.index()] = down_gbps;
         self.wf.mark_site_dirty(site.index());
         self.dirty = true;
-        self.flags.stale = true;
+        // The tie test bounds rates by the capacities.
+        for i in 0..self.live.len() {
+            let g = self.live[i];
+            self.update_flag(g);
+        }
         self.cached_next = None;
         if self.obs.is_enabled() {
             self.obs_pending = true;
@@ -491,74 +449,52 @@ impl FlowSim {
     /// Panics if `t` is earlier than the current time.
     pub fn advance_to(&mut self, t: f64) {
         assert!(t >= self.now - 1e-9, "time must be monotone");
+        if t.to_bits() == self.now.to_bits() {
+            return;
+        }
+        // `dt` is 0 for a sub-epsilon step backwards or across the zero
+        // signs: nothing drains, but the flags derive from `now`.
         let dt = (t - self.now).max(0.0);
         if dt > 0.0 {
             // The owed sample belongs to the instant the mutations happened
             // at, so flush before moving the clock.
             self.flush_link_sample();
             self.refresh();
-            for &g in &self.live {
-                let grp = &mut self.groups[g];
-                if grp.rate > 0.0 {
-                    grp.drained += grp.rate * dt;
-                }
-            }
-            self.time_epoch += 1;
-            self.all_stale = true;
-            self.flags.stale = true;
-        } else if t.to_bits() != self.now.to_bits() {
-            // The clock value changed bitwise (a sub-epsilon step backwards
-            // or across the zero signs): ETAs derive from `now`, so they
-            // must be recomputed to stay bit-exact.
-            self.time_epoch += 1;
-            self.all_stale = true;
-            self.flags.stale = true;
         }
         self.now = t;
+        for i in 0..self.live.len() {
+            let g = self.live[i];
+            let grp = &mut self.groups[g];
+            if dt > 0.0 && grp.rate > 0.0 {
+                grp.drained += grp.rate * dt;
+            }
+            self.update_flag(g);
+        }
     }
 
     /// Group `g`'s first member to complete, as `(flow index, remaining
-    /// GB)`, validating the group's threshold heap lazily.
-    fn group_top(&mut self, g: usize) -> Option<(usize, f64)> {
-        // Discard heap entries of removed flows or stale re-additions.
-        let (threshold, idx) = loop {
-            let &Reverse((th, idx)) = self.groups[g].heap.peek()?;
-            let f = &self.flows[idx];
-            let valid = f.alive && f.group == Some(g) && key(f.join_drain + f.size_gb) == th;
-            if valid {
-                break (th, idx);
-            }
-            self.groups[g].heap.pop();
-        };
-        Some((
-            idx,
-            (f64::from_bits(threshold) - self.groups[g].drained).max(0.0),
-        ))
+    /// GB)`.
+    fn group_top(&self, g: usize) -> Option<(usize, f64)> {
+        let grp = &self.groups[g];
+        let (threshold, idx) = grp.top?;
+        Some((idx, (f64::from_bits(threshold) - grp.drained).max(0.0)))
     }
 
-    /// The earliest valid ETA entry for group `g`, or `None` when the group
-    /// has no runnable member at a positive rate.
-    fn group_entry(&mut self, g: usize) -> Option<EtaEntry> {
-        let (idx, remaining) = self.group_top(g)?;
-        let grp = &self.groups[g];
-        let eta = if remaining <= 1e-12 {
-            self.now
-        } else if grp.rate <= 0.0 {
-            // Stalled: the group sits on a zeroed link (`set_capacity` with
-            // 0 during an outage). No finite ETA exists; the group rejoins
-            // the completion heap when a capacity change restores its rate.
-            return None;
-        } else {
-            self.now + remaining / grp.rate
+    /// Re-derives group `g`'s cached top once its top flow has left: pops
+    /// heap entries of removed flows, and of indices the free list has since
+    /// handed to another flow, until a valid one surfaces.
+    fn pop_top(&mut self, g: usize) {
+        let grp = &mut self.groups[g];
+        grp.top = loop {
+            let Some(&Reverse((th, idx))) = grp.heap.peek() else {
+                break None;
+            };
+            let f = &self.flows[idx];
+            if f.alive && f.group == Some(g) && key(f.join_drain + f.size_gb) == th {
+                break Some((th, idx));
+            }
+            grp.heap.pop();
         };
-        Some(EtaEntry {
-            ord: ord_key(eta),
-            group: g,
-            eta_bits: eta.to_bits(),
-            flow: idx,
-            stamp: grp.eta_stamp,
-            epoch: self.time_epoch,
-        })
     }
 
     /// The earliest `(flow, absolute completion time)` among in-flight flows
@@ -579,7 +515,7 @@ impl FlowSim {
                 let slow = self.next_by_eta();
                 assert!(
                     slow.map(|(k, t)| (k, t.to_bits())) == Some((due.0, due.1.to_bits())),
-                    "audit: due-now answer {due:?} != refresh-then-heap answer {slow:?} at t={}",
+                    "audit: due-now answer {due:?} != refresh-then-scan answer {slow:?} at t={}",
                     self.now
                 );
             }
@@ -599,17 +535,9 @@ impl FlowSim {
     /// exceeds `cap = min(up, down)` and so `now + rem / cap > now` rules a
     /// tie out for every lower group. `None` sends the query to the refill
     /// path.
-    fn due_now(&mut self) -> Option<(FlowKey, f64)> {
+    fn due_now(&self) -> Option<(FlowKey, f64)> {
         if !self.dirty {
             return None;
-        }
-        if self.flags.stale {
-            self.flags.stale = false;
-            self.flags.clear();
-            for i in 0..self.live.len() {
-                let g = self.live[i];
-                self.update_flag(g);
-            }
         }
         let g = self.flags.first()?;
         if self.flags.get(g) != Some(true) {
@@ -619,13 +547,8 @@ impl FlowSim {
         Some((FlowKey(idx), self.now))
     }
 
-    /// Recomputes group `g`'s due-now flag, unless every flag awaits a
-    /// recompute anyway.
+    /// Recomputes group `g`'s due-now flag (an emptied group unflags).
     fn update_flag(&mut self, g: usize) {
-        if self.flags.stale {
-            return;
-        }
-        // An emptied group has no valid heap entry left, so it unflags.
         let grp = &self.groups[g];
         let cap = self.up_gbps[grp.src].min(self.down_gbps[grp.dst]);
         let flag = self
@@ -634,49 +557,33 @@ impl FlowSim {
         self.flags.set(g, flag);
     }
 
-    /// The refresh-then-heap answer: refills pending rates, re-derives the
-    /// ETA entries they invalidated, and pops the earliest current entry.
+    /// The refresh-then-scan answer: refills pending rates, then finds the
+    /// minimum `(eta, group)` in one ascending scan of the live groups (a
+    /// strict `<` keeps the lowest group on ties).
     fn next_by_eta(&mut self) -> Option<(FlowKey, f64)> {
         self.refresh();
-        if self.all_stale {
-            // The clock moved: every ETA must be re-derived. Rebuild the
-            // heap in one O(live) heapify, reusing its buffer.
-            self.all_stale = false;
-            for g in std::mem::take(&mut self.stale) {
-                // (the Vec keeps its capacity through take+restore below)
-                self.groups[g].stale_queued = false;
-            }
-            let mut buf = std::mem::take(&mut self.eta_heap).into_vec();
-            buf.clear();
-            for i in 0..self.live.len() {
-                let g = self.live[i];
-                if let Some(e) = self.group_entry(g) {
-                    buf.push(Reverse(e));
-                }
-            }
-            self.eta_heap = BinaryHeap::from(buf);
-        } else {
-            while let Some(g) = self.stale.pop() {
-                self.groups[g].stale_queued = false;
-                if self.groups[g].count == 0 {
-                    continue;
-                }
-                if let Some(e) = self.group_entry(g) {
-                    self.eta_heap.push(Reverse(e));
-                }
-            }
-        }
-        // Pop superseded entries until the top is current; it stays in the
-        // heap for future queries.
-        loop {
-            let Some(Reverse(e)) = self.eta_heap.peek() else {
-                break None;
+        let mut best: Option<(u64, usize, f64)> = None;
+        for &g in &self.live {
+            let Some((idx, remaining)) = self.group_top(g) else {
+                continue;
             };
-            if e.epoch == self.time_epoch && e.stamp == self.groups[e.group].eta_stamp {
-                break Some((FlowKey(e.flow), f64::from_bits(e.eta_bits)));
+            let rate = self.groups[g].rate;
+            let eta = if remaining <= 1e-12 {
+                self.now
+            } else if rate <= 0.0 {
+                // Stalled: the group sits on a zeroed link (`set_capacity`
+                // with 0 during an outage). No finite ETA exists until a
+                // capacity change restores its rate.
+                continue;
+            } else {
+                self.now + remaining / rate
+            };
+            let ord = ord_key(eta);
+            if best.is_none_or(|(b, _, _)| ord < b) {
+                best = Some((ord, idx, eta));
             }
-            self.eta_heap.pop();
         }
+        best.map(|(_, idx, eta)| (FlowKey(idx), eta))
     }
 
     /// Remaining volume of a flow in GB (zero for local flows, which never
@@ -762,12 +669,8 @@ impl FlowSim {
         }
         self.dirty = false;
         self.wf.refill(&self.up_gbps, &self.down_gbps);
-        for i in 0..self.wf.refilled().len() {
-            let (g, r) = self.wf.refilled()[i];
-            if self.groups[g].rate.to_bits() != r.to_bits() {
-                self.groups[g].rate = r;
-                self.mark_group_stale(g);
-            }
+        for &(g, r) in self.wf.refilled() {
+            self.groups[g].rate = r;
         }
         #[cfg(feature = "audit")]
         self.audit_rates("refresh");
@@ -794,11 +697,14 @@ impl FlowSim {
     /// 4. Bookkeeping consistency: group member counts match the alive flow
     ///    records, the live list is exactly the non-empty groups in
     ///    ascending order, and `active` counts the alive flows.
-    /// 5. Due-now flags: whenever they are fresh, every group's flag equals
-    ///    one recomputed from scratch — its minimum valid threshold found by
-    ///    a heap scan (the popping `group_top` needs `&mut self`). A stale flag could make `due_now` defer too
-    ///    early, which costs refills but no output bits, so the due-now
-    ///    cross-check in `next_completion` cannot see it.
+    /// 5. Due-now flags: every group's flag equals one recomputed from
+    ///    scratch, from its minimum valid threshold found by a heap scan. A
+    ///    wrong flag could make `due_now` defer too early, which costs
+    ///    refills but no output bits, so the due-now cross-check in
+    ///    `next_completion` cannot see it.
+    /// 6. Cached tops: every group's cached top equals the minimum valid
+    ///    `(threshold, flow)` found by a scan of its heap and the heap's
+    ///    top entry (`None` for an empty group, whose heap is empty).
     ///
     /// Checks 1 and 2 run here only when no refill is pending (the audit
     /// must not refresh, or the next query would never see pending
@@ -866,33 +772,45 @@ impl FlowSim {
             expect_live
         );
 
-        // 5. Due-now flags.
-        if !self.flags.stale {
-            for (g, gr) in self.groups.iter().enumerate() {
-                let top = gr
-                    .heap
-                    .iter()
-                    .filter(|&&Reverse((th, idx))| {
-                        let f = &self.flows[idx];
-                        f.alive && f.group == Some(g) && key(f.join_drain + f.size_gb) == th
-                    })
-                    .map(|&Reverse((th, _))| th)
-                    .min();
-                let cap = self.up_gbps[gr.src].min(self.down_gbps[gr.dst]);
-                let want = top.and_then(|th| {
-                    due_flag(self.now, (f64::from_bits(th) - gr.drained).max(0.0), cap)
-                });
-                let got = self.flags.get(g);
-                assert!(
-                    got == want,
-                    "audit[{ctx}]: group {g} ({}->{}, count {}) due-now flag \
-                     {got:?} != from-scratch {want:?} at t={}",
-                    gr.src,
-                    gr.dst,
-                    gr.count,
-                    self.now
-                );
-            }
+        for (g, gr) in self.groups.iter().enumerate() {
+            let scanned = gr
+                .heap
+                .iter()
+                .map(|&Reverse(entry)| entry)
+                .filter(|&(th, idx)| {
+                    let f = &self.flows[idx];
+                    f.alive && f.group == Some(g) && key(f.join_drain + f.size_gb) == th
+                })
+                .min();
+
+            // 5. Due-now flags.
+            let cap = self.up_gbps[gr.src].min(self.down_gbps[gr.dst]);
+            let want = scanned.and_then(|(th, _)| {
+                due_flag(self.now, (f64::from_bits(th) - gr.drained).max(0.0), cap)
+            });
+            let got = self.flags.get(g);
+            assert!(
+                got == want,
+                "audit[{ctx}]: group {g} ({}->{}, count {}) due-now flag \
+                 {got:?} != from-scratch {want:?} at t={}",
+                gr.src,
+                gr.dst,
+                gr.count,
+                self.now
+            );
+
+            // 6. Cached tops.
+            let peek = gr.heap.peek().map(|&Reverse(entry)| entry);
+            assert!(
+                gr.top == scanned && peek == scanned,
+                "audit[{ctx}]: group {g} ({}->{}, count {}) cached top {:?} != \
+                 scanned minimum {scanned:?} (heap top {peek:?}) at t={}",
+                gr.src,
+                gr.dst,
+                gr.count,
+                gr.top,
+                self.now
+            );
         }
     }
 
@@ -1187,7 +1105,7 @@ mod tests {
         let (mut sim, tying) = build();
         let (mut twin, _) = build();
         let got = sim.next_completion().map(|(k, t)| (k, t.to_bits()));
-        twin.link_usage(); // Refills first: the refresh-then-heap answer.
+        twin.link_usage(); // Refills first: the refresh-then-scan answer.
         assert_eq!(got, twin.next_completion().map(|(k, t)| (k, t.to_bits())));
         assert_eq!(got, Some((tying, 1e7f64.to_bits())));
     }
@@ -1208,8 +1126,8 @@ mod tests {
             for &(s, d) in &pairs[..64] {
                 sim.add_flow(SiteId(s), SiteId(d), 1.0);
             }
-            // Nothing is due yet; the query leaves the flags fresh, so the
-            // adds below update them one group at a time.
+            // Nothing is due yet; the adds below update the flags one group
+            // at a time.
             assert!(sim.next_completion().unwrap().1 > 1e7);
             let tying = tie.then(|| sim.add_flow(SiteId(pairs[3].0), SiteId(pairs[3].1), 1e-11));
             let (s, d) = pairs[64];
@@ -1259,6 +1177,192 @@ mod tests {
             answers
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// A from-scratch model of a [`FlowSim`] driven alongside it: per-pair
+    /// drain clocks advanced at [`crate::waterfill_groups`] rates recomputed
+    /// at every step, and each completion query answered by a scan over
+    /// every in-flight flow in `(eta, group, threshold, index)` order and
+    /// memoized until the flow set changes, as [`FlowSim::next_completion`]
+    /// documents.
+    struct Modeled {
+        sim: FlowSim,
+        up: Vec<f64>,
+        down: Vec<f64>,
+        now: f64,
+        /// `(src, dst, drained)` per pair, in first-use order: the
+        /// simulator's group ids.
+        pairs: Vec<(usize, usize, f64)>,
+        /// `(key, pair, join drain, size)` per in-flight flow.
+        flows: Vec<(FlowKey, usize, f64, f64)>,
+        memo: Option<Option<(FlowKey, u64)>>,
+    }
+
+    impl Modeled {
+        fn new(up: &[f64], down: &[f64]) -> Self {
+            Self {
+                sim: FlowSim::new(up.to_vec(), down.to_vec()),
+                up: up.to_vec(),
+                down: down.to_vec(),
+                now: 0.0,
+                pairs: Vec::new(),
+                flows: Vec::new(),
+                memo: None,
+            }
+        }
+
+        fn rates(&self) -> Vec<f64> {
+            let specs: Vec<crate::GroupSpec> = (0..self.pairs.len())
+                .map(|p| crate::GroupSpec {
+                    src: self.pairs[p].0,
+                    dst: self.pairs[p].1,
+                    count: self.flows.iter().filter(|f| f.1 == p).count(),
+                })
+                .collect();
+            crate::waterfill_groups(&specs, &self.up, &self.down)
+        }
+
+        fn add(&mut self, src: usize, dst: usize, gb: f64) -> FlowKey {
+            let k = self.sim.add_flow(SiteId(src), SiteId(dst), gb);
+            let pos = self
+                .pairs
+                .iter()
+                .position(|&(s, d, _)| (s, d) == (src, dst));
+            let p = pos.unwrap_or_else(|| {
+                self.pairs.push((src, dst, 0.0));
+                self.pairs.len() - 1
+            });
+            self.flows.push((k, p, self.pairs[p].2, gb));
+            self.memo = None;
+            self.check();
+            k
+        }
+
+        fn remove(&mut self, k: FlowKey) {
+            self.sim.remove_flow(k);
+            self.flows.retain(|f| f.0 != k);
+            self.memo = None;
+            self.check();
+        }
+
+        fn advance_to(&mut self, t: f64) {
+            self.sim.advance_to(t);
+            let dt = (t - self.now).max(0.0);
+            if dt > 0.0 {
+                for (p, r) in self.rates().into_iter().enumerate() {
+                    if r > 0.0 {
+                        self.pairs[p].2 += r * dt;
+                    }
+                }
+            }
+            self.now = t;
+            self.check();
+        }
+
+        fn remaining(&self, f: &(FlowKey, usize, f64, f64)) -> f64 {
+            (f.2 + f.3 - self.pairs[f.1].2).max(0.0)
+        }
+
+        /// The next completion, with its time's bits.
+        fn next(&mut self) -> Option<(FlowKey, u64)> {
+            let rates = self.rates();
+            let scan = self
+                .flows
+                .iter()
+                .filter_map(|f| {
+                    let rem = self.remaining(f);
+                    let eta = if rem <= 1e-12 {
+                        self.now
+                    } else if rates[f.1] <= 0.0 {
+                        return None;
+                    } else {
+                        self.now + rem / rates[f.1]
+                    };
+                    let order = (ord_key(eta), f.1, key(f.2 + f.3), f.0.index());
+                    Some((order, (f.0, eta.to_bits())))
+                })
+                .min_by_key(|&(order, _)| order)
+                .map(|(_, answer)| answer);
+            let want = *self.memo.get_or_insert(scan);
+            let got = self.sim.next_completion().map(|(k, t)| (k, t.to_bits()));
+            assert_eq!(got, want, "next completion at t={}", self.now);
+            got
+        }
+
+        /// Compares every in-flight flow's remaining bytes, bit for bit.
+        fn check(&self) {
+            #[cfg(feature = "audit")]
+            self.sim.audit("modeled");
+            assert_eq!(self.sim.now().to_bits(), self.now.to_bits());
+            for f in &self.flows {
+                let (got, want) = (self.sim.remaining_gb(f.0), self.remaining(f));
+                assert_eq!(got.to_bits(), want.to_bits(), "{:?}: {got} vs {want}", f.0);
+            }
+        }
+
+        /// Runs to empty, retiring each completion at its time.
+        fn drain(&mut self) {
+            while let Some((k, t)) = self.next() {
+                self.advance_to(f64::from_bits(t));
+                self.remove(k);
+            }
+            assert_eq!(self.sim.active_flows(), 0);
+        }
+    }
+
+    /// The free list hands a removed flow's index to a flow on another
+    /// group, at the removal's instant and after a clock move. The index's
+    /// old heap entry stays behind in its first group, below a later
+    /// member's, and must be skipped when that group's top leaves.
+    #[test]
+    fn reused_flow_indices_match_the_model() {
+        let mut m = Modeled::new(&[2.0, 3.0, 5.0], &[4.0, 2.0, 3.0]);
+        let a = m.add(0, 1, 1.0);
+        let a2 = m.add(0, 1, 5.0);
+        m.add(0, 1, 8.0);
+        m.add(1, 2, 3.0);
+        let c = m.add(2, 0, 2.0);
+        m.next();
+        // Same instant: a2's index goes to a flow on pair (1, 2) with a2's
+        // threshold (both drain clocks are still 0), so only the group
+        // check tells a2's entry in pair (0, 1) apart from a valid one.
+        m.remove(a2);
+        assert_eq!(m.add(1, 2, 5.0), a2);
+        let (_, t) = m.next().unwrap();
+        m.advance_to(f64::from_bits(t) * 0.5);
+        m.next();
+        // After a clock move: c's index goes to a new pair (0, 2).
+        m.remove(c);
+        m.advance_to(m.now * 1.5);
+        assert_eq!(m.add(0, 2, 1.5), c);
+        m.next();
+        // Pair (0, 1) loses its top; a2's stale entry (threshold 5) sits
+        // between it and the 8 GB member.
+        m.remove(a);
+        m.next();
+        m.drain();
+    }
+
+    /// `advance_to(now − 5e-10)` changes the clock's bits but drains
+    /// nothing. At `now = 2^23` half an ulp is 9.3e-10 s, so a flow 5e-10 GB
+    /// from done over a 1 GB/s cap ties at `now`; just below `2^23` half an
+    /// ulp is 4.7e-10 s and it no longer does. The step back must re-flag
+    /// it, so the due flows of a higher group are answered without a
+    /// refill and retired at the new instant in the model's order.
+    #[test]
+    fn sub_epsilon_step_back_matches_the_model() {
+        let mut m = Modeled::new(&[1.0; 4], &[1.0; 4]);
+        m.advance_to(8_388_608.0);
+        m.add(0, 1, 5e-10);
+        let due: Vec<FlowKey> = (0..3).map(|_| m.add(2, 3, 0.0)).collect();
+        assert_eq!(m.sim.due_now(), None);
+        m.advance_to(m.now - 5e-10);
+        assert_eq!(m.sim.due_now(), Some((due[0], m.now)));
+        for &k in &due {
+            assert_eq!(m.next(), Some((k, m.now.to_bits())));
+            m.remove(k);
+        }
+        m.drain();
     }
 
     /// Sixteen equal fetches on one pair drain at one instant: retiring all

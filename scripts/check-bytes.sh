@@ -13,9 +13,12 @@
 #   - `tetrium-cli run --trace mini_trace.json` with --obs, --obs-otel and
 #     --chrome-trace.
 # Every JSON file loses its `decision_ms`, `wall_secs` and `wall_ms` fields
-# (measured wall-clock), and the two trees are diffed. Exits 0 when they
-# are identical, 1 with the diff otherwise. Console output is kept next to
-# the records but not compared: it prints the same wall-clock fields.
+# (measured wall-clock), and the two output trees, target/check-bytes/out/
+# base and .../head, are diffed. Exits 0 when they are identical and then
+# deletes target/check-bytes/out (it holds several hundred MB of obs
+# records); exits 1 with the diff otherwise and keeps the trees for
+# inspection. Console output is kept next to the records but not compared:
+# it prints the same wall-clock fields.
 # Needs git, cargo and jq; the quick figures take a few minutes per run.
 set -euo pipefail
 
@@ -67,7 +70,8 @@ echo "running the checkout" >&2
 run head "$root/target/release"
 if diff -r -x '*.txt' "$work/out/base" "$work/out/head"; then
     echo "identical: $(find "$work/out/head" -name '*.json' | wc -l) JSON files" >&2
+    rm -rf "$work/out"
 else
-    echo "outputs differ from $sha" >&2
+    echo "outputs differ from $sha; kept in $work/out" >&2
     exit 1
 fi

@@ -465,7 +465,7 @@ proptest! {
 /// Two simulators driven by identical operations. `fast` is queried the way
 /// the engine queries it; `reference` calls `link_usage()` before every
 /// `next_completion()`, which refills pending rates first and so forces the
-/// refresh-then-heap answer. Every answer, refund and ledger total must
+/// refresh-then-scan answer. Every answer, refund and ledger total must
 /// agree bit for bit.
 struct Twin {
     fast: FlowSim,
