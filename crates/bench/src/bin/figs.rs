@@ -60,6 +60,10 @@ fn main() -> ExitCode {
 fn run_all() {
     let threads = tetrium_bench::thread_count();
     eprintln!("[all_figures] running with {threads} worker thread(s)");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench timing: the whole run's wall-clock, on stderr only"
+    )]
     let t0 = std::time::Instant::now();
     for (_, run) in FIGS {
         run();

@@ -117,7 +117,10 @@ pub fn run_fig() {
     }
 
     let mut record = serde_json::Map::new();
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "a literal table of (name, label, accessor, grid) rows"
+    )]
     let axes: [(&str, &str, fn(&Sample) -> f64, &[f64]); 4] = [
         (
             "intermediate_input_ratio",

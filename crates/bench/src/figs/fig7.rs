@@ -103,6 +103,10 @@ pub fn run() {
                     // Fresh scheduler per measurement: cold caches, like a
                     // burst of new arrivals.
                     let mut sched = TetriumScheduler::standard();
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "bench timing: fig7 reports measured decision latency"
+                    )]
                     let t0 = Instant::now();
                     let plans = sched.schedule(&snap);
                     let elapsed = t0.elapsed();

@@ -52,6 +52,10 @@ pub fn run_fig() {
         ("in-place", SchedulerKind::InPlace),
         ("iridium", SchedulerKind::Iridium),
     ];
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bench timing: `wall_secs` is measured, outside the determinism contract"
+    )]
     let t0 = Instant::now();
     let cells: Vec<(Cell, CellFn<'_, RunReport>)> = schedulers
         .iter()

@@ -34,7 +34,10 @@ impl StageTimes {
 /// # Panics
 ///
 /// Panics if dimensions disagree or any slot count is zero.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the stage-time model's inputs, one argument each"
+)]
 pub fn evaluate_map_counts(
     moved: &[Vec<f64>],
     tasks_at: &[usize],
@@ -78,7 +81,10 @@ pub fn evaluate_map_counts(
 /// # Panics
 ///
 /// Panics if dimensions disagree or any slot count is zero.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the stage-time model's inputs, one argument each"
+)]
 pub fn evaluate_reduce_counts(
     shuffle_gb: &[f64],
     fraction: &[f64],

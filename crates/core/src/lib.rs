@@ -29,9 +29,10 @@
 //!   the paper's worked example (Fig 3/4) and to rank jobs by remaining
 //!   time.
 
-// Index-based loops over site matrices are clearer than iterator chains in
-// the placement math; silence the pedantic lint crate-wide.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index-based loops over site matrices are clearer than iterator chains in the placement math"
+)]
 
 pub mod analytic;
 pub mod dynamics;

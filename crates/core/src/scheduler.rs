@@ -213,7 +213,10 @@ impl TetriumScheduler {
 
     /// Plans one stage with the placement LPs. Falls back to the site-local
     /// plan on solver failure.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the stage, its snapshot and the per-call knobs, threaded from schedule()"
+    )]
     fn plan_stage_lp(
         &mut self,
         snap: &Snapshot,

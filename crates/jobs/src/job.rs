@@ -135,7 +135,10 @@ impl Job {
 
     /// Convenience constructor for the common two-stage map→reduce job over
     /// one input dataset.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per parameter of the two-stage job"
+    )]
     pub fn map_reduce(
         id: JobId,
         name: impl Into<String>,

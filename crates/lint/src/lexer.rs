@@ -1,11 +1,11 @@
 //! A minimal Rust lexer with source spans.
 //!
-//! The lint rules (see [`crate::rules`]) work on token sequences, not a full
-//! AST: the hazards they police (`HashMap` iteration, `partial_cmp` on
-//! floats, wall-clock calls, lossy casts) are all visible at the token
-//! level, and a hand-rolled lexer keeps the tool dependency-free (the build
-//! environment vendors no `syn`). The lexer understands everything needed to
-//! avoid false positives from non-code text: line and nested block comments,
+//! The lint rules (see `crate::rules`) work on token sequences, not a full
+//! AST: the hazards they police (`partial_cmp` on floats, lossy casts,
+//! nested float `Vec`s) are all visible at the token level, and a
+//! hand-rolled lexer keeps the tool dependency-free (the build environment
+//! vendors no `syn`). The lexer understands everything needed to avoid
+//! false positives from non-code text: line and nested block comments,
 //! (raw/byte) string literals, char literals vs. lifetimes, and numeric
 //! literals with suffixes.
 
@@ -19,9 +19,8 @@ pub enum TokKind {
     /// Numeric literal (int or float, any base, with or without suffix).
     Num,
     /// String, raw-string, byte-string or char literal. `text` keeps the
-    /// literal's source form (quotes included) so attribute scans can see
-    /// e.g. `feature = "audit"`; rules never treat literal contents as
-    /// code.
+    /// literal's source form (quotes included); rules never treat literal
+    /// contents as code.
     Lit,
     /// Lifetime (`'a`, `'_`, `'static`).
     Lifetime,
@@ -66,22 +65,15 @@ impl Tok {
 
 /// An allowlist escape-hatch marker parsed from a comment.
 ///
-/// `// lint:allow(L1, L3) -- reason` suppresses findings of the listed rules
+/// `// lint:allow(L2, L4) -- reason` suppresses findings of the listed rules
 /// on the marker's line and on the line directly below it (so a comment line
-/// above the offending code works). `// lint:allow-file(L3) -- reason`
-/// suppresses the rule for the whole file. The reason can also be given as
-/// a quoted argument — `lint:allow(l6, "bounded by construction")` — and
-/// rule names are case-insensitive. The dataflow rules (L6–L8) refuse
-/// markers with no reason; see [`crate::Rule::requires_reason`].
+/// above the offending code works). The reason after `--` is for the
+/// reader; the lexer does not keep it.
 #[derive(Debug, Clone)]
 pub struct AllowMarker {
-    /// Rule names, normalized to uppercase.
+    /// Rule names as written (`L2`, `L4`, `L5`).
     pub rules: Vec<String>,
     pub line: u32,
-    pub whole_file: bool,
-    /// The justification text, from either a `"..."` argument or a
-    /// trailing `-- reason`.
-    pub reason: Option<String>,
 }
 
 /// Result of lexing one file.
@@ -163,8 +155,7 @@ pub fn lex(src: &str) -> Lexed {
                 j += 1;
             }
             // Raw identifier (`r#fn`, `r#impl`): one Ident token keeping the
-            // `r#` prefix. Without this, `r#fn` lexed as `r`/`#`/`fn` and the
-            // phantom keyword confused brace-matched item extraction.
+            // `r#` prefix, so an escaped keyword never reads as the keyword.
             if c == 'r'
                 && hashes == 1
                 && j < chars.len()
@@ -387,72 +378,30 @@ pub fn lex(src: &str) -> Lexed {
     }
 }
 
-/// Parses `lint:allow(...)` / `lint:allow-file(...)` markers out of a
-/// comment's text. Multiline block comments attribute each marker to the
-/// line it actually sits on (not the comment's first line), so a marker in
-/// the middle of a long `/* ... */` still suppresses the line below it.
+/// Parses `lint:allow(...)` markers out of a comment's text. Multiline
+/// block comments attribute each marker to the line it actually sits on
+/// (not the comment's first line), so a marker in the middle of a long
+/// `/* ... */` still suppresses the line below it.
 fn parse_allow(comment: &str, line: u32, out: &mut Vec<AllowMarker>) {
     for (off, text) in comment.split('\n').enumerate() {
-        parse_allow_line(text, line + off as u32, out);
-    }
-}
-
-/// Parses the markers on one comment line.
-fn parse_allow_line(comment: &str, line: u32, out: &mut Vec<AllowMarker>) {
-    let mut rest = comment;
-    while let Some(pos) = rest.find("lint:allow") {
-        rest = &rest[pos + "lint:allow".len()..];
-        let whole_file = rest.starts_with("-file");
-        let after = if whole_file {
-            &rest["-file".len()..]
-        } else {
-            rest
-        };
-        let Some(open) = after.find('(') else {
-            continue;
-        };
-        let Some(close) = after[open..].find(')') else {
-            continue;
-        };
-        let mut rules: Vec<String> = Vec::new();
-        let mut reason: Option<String> = None;
-        for arg in after[open + 1..open + close].split(',') {
-            let arg = arg.trim();
-            if arg.is_empty() {
-                continue;
+        let line = line + off as u32;
+        let mut rest = text;
+        while let Some(pos) = rest.find("lint:allow(") {
+            rest = &rest[pos + "lint:allow(".len()..];
+            let Some(close) = rest.find(')') else {
+                break;
+            };
+            let rules: Vec<String> = rest[..close]
+                .split(',')
+                .map(str::trim)
+                .filter(|r| !r.is_empty())
+                .map(str::to_string)
+                .collect();
+            if !rules.is_empty() {
+                out.push(AllowMarker { rules, line });
             }
-            // A quoted argument is the reason; anything else is a rule name.
-            if let Some(q) = arg.strip_prefix('"') {
-                let q = q.strip_suffix('"').unwrap_or(q).trim();
-                if !q.is_empty() {
-                    reason = Some(q.to_string());
-                }
-            } else {
-                rules.push(arg.to_ascii_uppercase());
-            }
+            rest = &rest[close..];
         }
-        // `-- reason` trailing style: everything after `--`, up to the next
-        // marker on the same line.
-        let tail_end = after[open + close..]
-            .find("lint:allow")
-            .map_or(after.len(), |p| open + close + p);
-        if reason.is_none() {
-            if let Some(dd) = after[open + close..tail_end].find("--") {
-                let r = after[open + close + dd + 2..tail_end].trim();
-                if !r.is_empty() {
-                    reason = Some(r.to_string());
-                }
-            }
-        }
-        if !rules.is_empty() {
-            out.push(AllowMarker {
-                rules,
-                line,
-                whole_file,
-                reason,
-            });
-        }
-        rest = &after[open + close..];
     }
 }
 
@@ -504,19 +453,19 @@ mod tests {
 
     #[test]
     fn allow_markers_parse() {
-        let l = lex("// lint:allow(L1, L4) -- reason\nx();\n// lint:allow-file(L3)\n");
+        let l = lex("// lint:allow(L2, L4) -- reason\nx();\n// lint:allow(L5)\n");
         assert_eq!(l.allows.len(), 2);
-        assert_eq!(l.allows[0].rules, ["L1", "L4"]);
+        assert_eq!(l.allows[0].rules, ["L2", "L4"]);
         assert_eq!(l.allows[0].line, 1);
-        assert!(!l.allows[0].whole_file);
-        assert!(l.allows[1].whole_file);
-        assert_eq!(l.allows[1].rules, ["L3"]);
+        assert_eq!(l.allows[1].rules, ["L5"]);
+        assert_eq!(l.allows[1].line, 3);
     }
 
     #[test]
     fn raw_identifiers_lex_as_single_tokens() {
         // `r#fn` must not leak a phantom `fn` keyword (or a stray `#`) into
-        // the stream — the syntax layer would see a function item.
+        // the stream: L2 exempts `fn partial_cmp`, so `r#fn partial_cmp`
+        // would pass for a definition.
         let l = lex("let r#fn = 1; r#impl::go(r#type)");
         assert!(l
             .toks
@@ -534,7 +483,7 @@ mod tests {
     fn block_comment_allow_markers_keep_their_line() {
         // A marker inside a multiline block comment used to be attributed
         // to the comment's first line, so it suppressed the wrong lines.
-        let l = lex("/* intro\n lint:allow(L3) -- reason\n */\nx();");
+        let l = lex("/* intro\n lint:allow(L4) -- reason\n */\nx();");
         assert_eq!(l.allows.len(), 1);
         assert_eq!(l.allows[0].line, 2);
     }
@@ -570,22 +519,6 @@ mod tests {
         assert!(!l.toks.iter().any(|t| t.is_ident("SystemTime")));
         assert!(!l.toks.iter().any(|t| t.is_ident("thread_rng")));
         assert!(l.toks.iter().any(|t| t.is_ident("ok")));
-    }
-
-    #[test]
-    fn allow_reason_parses_from_both_styles() {
-        let l = lex(
-            "// lint:allow(l6, \"bounded\")\n// lint:allow(L6) -- trailing reason\n// lint:allow(L6)\n",
-        );
-        assert_eq!(l.allows.len(), 3);
-        assert_eq!(
-            l.allows[0].rules,
-            ["L6"],
-            "rule names normalize to uppercase"
-        );
-        assert_eq!(l.allows[0].reason.as_deref(), Some("bounded"));
-        assert_eq!(l.allows[1].reason.as_deref(), Some("trailing reason"));
-        assert_eq!(l.allows[2].reason, None);
     }
 
     #[test]

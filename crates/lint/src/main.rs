@@ -4,7 +4,7 @@
 //! Lints the workspace (or the root given as the one positional argument),
 //! prints every finding rustc-style on stderr, and exits 1 if there is any:
 //! the gate is zero findings. Fix a finding or justify it in place with
-//! `// lint:allow(Ln, "reason")`.
+//! `// lint:allow(Ln) -- reason`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -44,7 +44,7 @@ fn main() -> ExitCode {
             let s = if n == 1 { "" } else { "s" };
             eprintln!(
                 "tetrium-lint: {n} finding{s} (fix, or justify with \
-                 `// lint:allow(Ln, \"reason\")`)"
+                 `// lint:allow(Ln) -- reason`)"
             );
             ExitCode::FAILURE
         }

@@ -1,21 +1,7 @@
-//! Known-good fixture: every hazard below carries an allowlist escape, so
+//! Known-good fixture: the hazard below carries an allowlist escape, so
 //! the lint must report zero findings for this file.
-// lint:allow-file(L3) -- fixture exercising the file-scope escape
-
-use std::collections::HashMap;
-use std::time::Instant;
-
-pub fn allowed(m: &HashMap<u32, u32>) -> u32 {
-    let _t = Instant::now(); // covered by the allow-file marker above
-    let mut sum = 0;
-    // lint:allow(L1) -- fixture exercising the line-scope escape
-    for v in m.values() {
-        sum += v;
-    }
-    sum
-}
 
 pub fn cmp_allowed(xs: &mut [f64]) {
-    // lint:allow(L2, L6) -- fixture: multi-rule escape; the unwrap cannot fail on NaN-free data
+    // lint:allow(L2) -- fixture exercising the line-scope escape
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }

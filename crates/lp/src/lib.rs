@@ -44,6 +44,17 @@
 //! assert!((sol.values[0] - 4.0).abs() < 1e-9);
 //! ```
 
+// Reachable panics are banned outside tests (DESIGN.md §10.1): an
+// intentional one carries `#[expect(clippy::…, reason = "…")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod norm;
 mod presolve;
 mod problem;

@@ -232,6 +232,10 @@ impl Problem {
     /// columns differently and may canonicalize a different vertex of the
     /// same optimum).
     #[cfg(feature = "audit")]
+    #[allow(
+        clippy::panic,
+        reason = "the audit stops the run on a sparse/dense disagreement"
+    )]
     fn audit_against_dense(&self, objective: &[f64], sparse: &Result<Solution, LpError>) {
         // The dense tableau is O(m·n) per pivot, and it never refactors, so
         // elimination error grows with the instance: on a 492-row ×

@@ -58,7 +58,10 @@ impl Tableau {
 
     /// Rebuilds the reduced-cost row for cost vector `c` (length `vars`)
     /// given the current basis: `cost[j] = c_j - c_B^T B^{-1} A_j`.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "column indices address the tableau and the cost vector together"
+    )]
     fn price(&mut self, c: &[f64]) {
         let w = self.vars + 1;
         let mut row = vec![0.0; w];

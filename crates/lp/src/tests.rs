@@ -753,7 +753,10 @@ fn placement_lp_across_refactorizations_matches_the_dense_oracle() {
 /// Returns the problem, the indices of its never-binding rows and the
 /// number of fixing rows.
 #[cfg(not(miri))]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per proptest-drawn dimension of the instance"
+)]
 fn placement_lp(
     data: &[u8],
     tasks: &[u8],

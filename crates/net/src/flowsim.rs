@@ -23,9 +23,14 @@
 //! group holds such a flow is read from the due/tie flags, kept fresh for
 //! one group per flow mutation and for all live groups per clock move or
 //! capacity change, so a query costs a scan of bitset words, not of groups.
-//! All of it is exact: the arithmetic — and therefore every simulated
-//! timestamp and byte count — is bit-identical to recomputing the world
-//! from scratch at every event.
+//! The next-completion answer is memoized until the flow set or a capacity
+//! changes, and the memo survives [`FlowSim::advance_to`]: a query after a
+//! clock move returns the absolute time derived at the last mutation, not
+//! one re-derived from the moved clock. All of it is exact against a
+//! from-scratch model that memoizes the same way (the `Modeled` twin in the
+//! unit tests): per-pair drains at rates recomputed at every step, and the
+//! answer re-derived only when the memo is cleared. Every simulated
+//! timestamp and byte count is bit-identical to that model's.
 
 use crate::maxmin::Waterfiller;
 use std::cmp::Reverse;

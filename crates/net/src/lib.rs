@@ -14,6 +14,17 @@
 //!   flow set or capacities change, and the next flow completion is exposed
 //!   as the engine's next network event.
 
+// Reachable panics are banned outside tests (DESIGN.md §10.1): an
+// intentional one carries `#[expect(clippy::…, reason = "…")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 mod flowsim;
 mod maxmin;
 

@@ -24,6 +24,18 @@
 //! uncontended on the hot path; the disabled handle skips it entirely at
 //! an `Option` branch.
 
+// Reachable panics are banned outside tests (DESIGN.md §10.1): an
+// intentional one carries `#[expect(clippy::…, reason = "…")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub mod otel;
 
 pub use otel::{to_otel_json, to_otel_string, OTEL_SCOPE};
@@ -354,6 +366,10 @@ impl ObsReport {
     /// (DESIGN.md §7/§8); the CLI's `--obs` output uses `true`.
     pub fn to_json(&self, include_wall: bool) -> serde_json::Value {
         use serde_json::json;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "json! builds an object; IndexMut inserts, never panics"
+        )]
         let sched: Vec<serde_json::Value> = self
             .sched
             .iter()
@@ -368,7 +384,6 @@ impl ObsReport {
                     "launched": s.launched,
                 });
                 if include_wall {
-                    // lint:allow(L6, "json! builds an object; IndexMut inserts, never panics")
                     v["wall_ms"] = json!(s.wall_secs * 1e3);
                 }
                 v
@@ -469,7 +484,10 @@ impl Obs {
     }
 
     /// Records a task lifecycle transition.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a hot-path emitter: one scalar per event field, no struct to build"
+    )]
     pub fn task_event(
         &self,
         t: f64,

@@ -38,8 +38,11 @@ pub const OTEL_SCOPE: &str = "tetrium-obs";
 
 /// Serializes the report as pretty OTLP/JSON under the given run name
 /// (the id namespace; see the module docs).
+#[expect(
+    clippy::expect_used,
+    reason = "serializing a serde_json::Value cannot fail"
+)]
 pub fn to_otel_string(report: &ObsReport, run_name: &str) -> String {
-    // lint:allow(L6, "serializing a serde_json::Value cannot fail")
     serde_json::to_string_pretty(&to_otel_json(report, run_name)).expect("otel export serializes")
 }
 

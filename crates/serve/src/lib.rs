@@ -32,7 +32,19 @@
 //!
 //! The core crates stay tokio-free; this crate (and the vendored tokio
 //! stand-in it runs on) contains no wall-clock or entropy source — time
-//! below the front end is exclusively virtual (lint rule L3).
+//! below the front end is exclusively virtual (clippy.toml bans the clock).
+
+// Reachable panics are banned outside tests (DESIGN.md §10.1): an
+// intentional one carries `#[expect(clippy::…, reason = "…")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 mod config;
 mod events;

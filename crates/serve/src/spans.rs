@@ -98,8 +98,11 @@ impl SpanTap {
     }
 
     /// Pretty-printed form of [`SpanTap::to_otel_json`].
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing a serde_json::Value cannot fail"
+    )]
     pub fn to_otel_string(&self, run_name: &str) -> String {
-        // lint:allow(L6, "serializing a serde_json::Value cannot fail")
         serde_json::to_string_pretty(&self.to_otel_json(run_name)).expect("otel export serializes")
     }
 }

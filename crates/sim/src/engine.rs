@@ -602,16 +602,21 @@ impl Engine {
         };
         let (open_next, site) = {
             let task = &mut self.jobs[j].stages[s].tasks[t];
-            let TaskState::Fetching { pending, queued } = &mut task.state else {
-                // lint:allow(L6, "a task's flows are torn down with their owners when it leaves Fetching")
+            #[expect(
+                clippy::unreachable,
+                reason = "a task's flows are torn down with their owners when it leaves Fetching"
+            )]
+            let TaskState::Fetching { pending, queued } = &mut task.state
+            else {
                 unreachable!("flow completion for a non-fetching task");
             };
             pending.retain(|k| *k != key);
-            (
-                queued.pop(),
-                // lint:allow(L6, "launch sets run_site before a task can fetch")
-                task.run_site.expect("fetching task has a site"),
-            )
+            #[expect(
+                clippy::expect_used,
+                reason = "launch sets run_site before a task can fetch"
+            )]
+            let site = task.run_site.expect("fetching task has a site");
+            (queued.pop(), site)
         };
         if let Some((src, gb)) = open_next {
             let flow = self.flows.add_flow(src, site, gb);
@@ -633,15 +638,21 @@ impl Engine {
     /// Transitions a task whose inputs are local/arrived into its compute
     /// phase.
     fn begin_compute(&mut self, j: usize, s: usize, t: usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "launch samples actual_secs before any compute phase"
+        )]
         let secs = self.jobs[j].stages[s].tasks[t]
             .actual_secs
-            // lint:allow(L6, "launch samples actual_secs before any compute phase")
             .expect("duration sampled at launch");
         let done_at = self.now + secs;
         let task = &mut self.jobs[j].stages[s].tasks[t];
         task.state = TaskState::Computing { done_at };
         task.compute_started = Some(self.now);
-        // lint:allow(L6, "launch sets run_site before a task can compute")
+        #[expect(
+            clippy::expect_used,
+            reason = "launch sets run_site before a task can compute"
+        )]
         let site = task.run_site.expect("computing task has a site");
         self.obs
             .task_event(self.now, j, s, t, false, TaskPhaseEvent::Computing, site);
@@ -663,9 +674,13 @@ impl Engine {
                 // event carries the same bits `done_at` was set to.)
                 return;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "launch sets run_site before a task can compute"
+            )]
+            let site = task.run_site.expect("running task has a site");
             (
-                // lint:allow(L6, "launch sets run_site before a task can compute")
-                task.run_site.expect("running task has a site"),
+                site,
                 task.actual_secs.unwrap_or(0.0),
                 task.launched_at.unwrap_or(self.now),
                 task.compute_started.unwrap_or(self.now),
@@ -798,7 +813,10 @@ impl Engine {
         };
         // Scheduler wall-latency telemetry: feeds `sched_wall_secs`, which
         // is excluded from deterministic figure/obs output (DESIGN.md §7).
-        // lint:allow(L3) -- telemetry timing only, never in sim output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "telemetry timing only, never in sim output"
+        )]
         let started = Instant::now();
         let plans = self.scheduler.schedule(&snapshot);
         let wall_secs = started.elapsed().as_secs_f64();
@@ -812,10 +830,13 @@ impl Engine {
         };
 
         for plan in plans {
+            #[expect(
+                clippy::panic,
+                reason = "schedulers plan only jobs from the snapshot the engine built"
+            )]
             let j = *self
                 .job_index
                 .get(&plan.job)
-                // lint:allow(L6, "schedulers plan only jobs from the snapshot the engine built")
                 .unwrap_or_else(|| panic!("plan for unknown job {}", plan.job));
             let s = plan.stage;
             assert!(
@@ -867,7 +888,10 @@ impl Engine {
 
     /// Fills free slots: at each site, launches assigned unlaunched tasks in
     /// priority order. Returns the number of tasks launched.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "site indices address several parallel per-site vectors"
+    )]
     fn dispatch(&mut self) -> usize {
         let n = self.cluster.len();
         // Collect launch candidates per site: (priority, j, s, t). The
@@ -993,10 +1017,13 @@ impl Engine {
                 }
             }
             StageKind::Reduce => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a reduce stage turns runnable only after its input is realized"
+                )]
                 let input = self.jobs[j].stages[s]
                     .input
                     .as_deref()
-                    // lint:allow(L6, "a reduce stage turns runnable only after its input is realized")
                     .expect("runnable stage has realized input");
                 for x in 0..self.cluster.len() {
                     let vol = task.share * input.at(SiteId(x));
@@ -1013,7 +1040,10 @@ impl Engine {
         if self.cfg.duration_cv > 0.0 {
             let cv = self.cfg.duration_cv;
             let sigma2 = (1.0 + cv * cv).ln();
-            // lint:allow(L6, "duration_cv is set in code, not from input; a finite cv gives a finite sigma >= 0")
+            #[expect(
+                clippy::expect_used,
+                reason = "duration_cv is set in code, not from input; a finite cv gives a finite sigma >= 0"
+            )]
             let ln = LogNormal::new(-sigma2 / 2.0, sigma2.sqrt()).expect("valid lognormal");
             secs *= ln.sample(&mut self.rng);
         }
@@ -1382,7 +1412,10 @@ impl Engine {
     ///
     /// Panics if the job has not finished.
     fn job_outcome(j: &JobRt) -> JobOutcome {
-        // lint:allow(L6, "drain_finished filters on finished_at; into_report runs after an Ok step_until_idle")
+        #[expect(
+            clippy::expect_used,
+            reason = "drain_finished filters on finished_at; into_report runs after an Ok step_until_idle"
+        )]
         let finished = j.finished_at.expect("job outcome requires completion");
         let input_skew = j
             .job
@@ -1471,6 +1504,10 @@ impl Engine {
 /// read-only — it never influences the simulation, so an audit build
 /// produces byte-identical output to a normal build (just slower).
 #[cfg(feature = "audit")]
+#[allow(
+    clippy::expect_used,
+    reason = "the auditor stops the run on the first broken invariant"
+)]
 impl Engine {
     fn audit_check(&mut self, ctx: &str) {
         // 1. Event-time monotonicity, and the engine/flow clocks agree

@@ -23,6 +23,17 @@
 //! The engine records per-job response times, WAN usage and scheduler
 //! decision latency, which the harness turns into every figure of §6.
 
+// Reachable panics are banned outside tests (DESIGN.md §10.1): an
+// intentional one carries `#[expect(clippy::…, reason = "…")]`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 #[cfg(feature = "audit")]
 mod audit;
 mod config;
