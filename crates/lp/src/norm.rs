@@ -12,6 +12,16 @@
 //! vertex. Two backends that reach the same vertex therefore return
 //! bit-identical values and objective, which is what the `audit` feature's
 //! sparse-vs-dense oracle checks.
+//!
+//! The matrix is one CSC over every internal column, the unit columns
+//! included, so the solver prices and FTRANs a column by reading flat
+//! arrays. At a degenerate vertex the refinement completes the support to
+//! a canonical basis by greedy elimination ([`complete_basis`]), which
+//! eliminates a candidate only against the chosen columns whose pivot row
+//! it touches; that performs the same updates, in the same order, as
+//! eliminating it against every chosen column. The canonical basis is then
+//! factored for its values only, since the duals come from the terminal
+//! one.
 
 use crate::problem::{Constraint, Relation};
 use crate::sparsela::SparseLu;
@@ -33,22 +43,16 @@ pub(crate) struct Row {
     pub flipped: bool,
 }
 
-/// What each internal column is: a structural variable, or a ±1 unit column
-/// (slack, surplus or artificial) attached to one row.
-#[derive(Clone, Copy)]
-pub(crate) enum ColDef {
-    Structural(usize),
-    RowUnit { row: usize, sign: f64 },
-}
-
 /// The normalized system plus the full internal column layout, shared by
 /// both solver backends.
 pub(crate) struct NormSystem {
     pub rows: Vec<Row>,
     pub num_vars: usize,
-    /// CSC of the structural part of the normalized matrix: for variable
-    /// `j`, rows `col_rows[col_ptr[j]..col_ptr[j+1]]` (ascending) hold
-    /// values `col_vals[..]`.
+    /// CSC of every internal column: column `c` holds rows
+    /// `col_rows[col_ptr[c]..col_ptr[c + 1]]` (ascending) with values
+    /// `col_vals[..]`. Columns below `num_vars` are the structural
+    /// variables; each one past them is a ±1 unit column (slack, surplus or
+    /// artificial) with a single entry on its row.
     pub col_ptr: Vec<usize>,
     pub col_rows: Vec<u32>,
     pub col_vals: Vec<f64>,
@@ -56,8 +60,6 @@ pub(crate) struct NormSystem {
     pub art_start: usize,
     /// Total internal columns (structural + slack + artificial).
     pub total_cols: usize,
-    /// Definition of every internal column.
-    pub col_defs: Vec<ColDef>,
     /// For each constraint: the auxiliary column whose final reduced cost
     /// yields its dual, and the sign relating that reduced cost to y.
     pub dual_col: Vec<usize>,
@@ -128,29 +130,6 @@ impl NormSystem {
     /// ([`crate::presolve`]) both end here.
     pub fn from_rows(num_vars: usize, rows: Vec<Row>) -> Self {
         let m = rows.len();
-        // Transpose the row terms into CSC over structural columns.
-        let mut col_ptr = vec![0usize; num_vars + 1];
-        for row in &rows {
-            for &(j, _) in &row.terms {
-                col_ptr[j as usize + 1] += 1;
-            }
-        }
-        for j in 0..num_vars {
-            col_ptr[j + 1] += col_ptr[j];
-        }
-        let nnz = col_ptr[num_vars];
-        let mut col_rows = vec![0u32; nnz];
-        let mut col_vals = vec![0.0f64; nnz];
-        let mut cursor = col_ptr.clone();
-        for (r, row) in rows.iter().enumerate() {
-            for &(j, v) in &row.terms {
-                let p = cursor[j as usize];
-                col_rows[p] = r as u32;
-                col_vals[p] = v;
-                cursor[j as usize] = p + 1;
-            }
-        }
-
         // Column layout: structural, then one slack/surplus per inequality
         // in row order, then one artificial per `≥`/`=` row in row order —
         // identical to the historical dense tableau layout.
@@ -164,8 +143,36 @@ impl NormSystem {
             .count();
         let art_start = num_vars + num_slack;
         let total_cols = art_start + num_art;
-        let mut col_defs: Vec<ColDef> = (0..num_vars).map(ColDef::Structural).collect();
-        col_defs.resize(total_cols, ColDef::Structural(usize::MAX));
+
+        // Transpose the row terms into the structural columns; each unit
+        // column gets one entry, filled in with the layout below.
+        let mut col_ptr = vec![0usize; total_cols + 1];
+        for row in &rows {
+            for &(j, _) in &row.terms {
+                col_ptr[j as usize + 1] += 1;
+            }
+        }
+        col_ptr[num_vars + 1..].fill(1);
+        for c in 0..total_cols {
+            col_ptr[c + 1] += col_ptr[c];
+        }
+        let nnz = col_ptr[total_cols];
+        let mut col_rows = vec![0u32; nnz];
+        let mut col_vals = vec![0.0f64; nnz];
+        let mut cursor = col_ptr[..num_vars].to_vec();
+        for (r, row) in rows.iter().enumerate() {
+            for &(j, v) in &row.terms {
+                let p = cursor[j as usize];
+                col_rows[p] = r as u32;
+                col_vals[p] = v;
+                cursor[j as usize] = p + 1;
+            }
+        }
+        let mut unit = |c: usize, row: usize, sign: f64| {
+            col_rows[col_ptr[c]] = row as u32;
+            col_vals[col_ptr[c]] = sign;
+        };
+
         let mut dual_col = vec![0usize; m];
         let mut dual_sign = vec![0.0f64; m];
         let mut init_basis = vec![0usize; m];
@@ -178,17 +185,17 @@ impl NormSystem {
                     // Reduced cost of a +1 slack is -y.
                     dual_col[r] = next_slack;
                     dual_sign[r] = -1.0;
-                    col_defs[next_slack] = ColDef::RowUnit { row: r, sign: 1.0 };
+                    unit(next_slack, r, 1.0);
                     next_slack += 1;
                 }
                 Relation::Ge => {
                     // Reduced cost of a -1 surplus is +y.
                     dual_col[r] = next_slack;
                     dual_sign[r] = 1.0;
-                    col_defs[next_slack] = ColDef::RowUnit { row: r, sign: -1.0 };
+                    unit(next_slack, r, -1.0);
                     next_slack += 1;
                     init_basis[r] = next_art;
-                    col_defs[next_art] = ColDef::RowUnit { row: r, sign: 1.0 };
+                    unit(next_art, r, 1.0);
                     next_art += 1;
                 }
                 Relation::Eq => {
@@ -197,7 +204,7 @@ impl NormSystem {
                     // reduced cost is -y (its own cost is zero).
                     dual_col[r] = next_art;
                     dual_sign[r] = -1.0;
-                    col_defs[next_art] = ColDef::RowUnit { row: r, sign: 1.0 };
+                    unit(next_art, r, 1.0);
                     next_art += 1;
                 }
             }
@@ -211,7 +218,6 @@ impl NormSystem {
             col_vals,
             art_start,
             total_cols,
-            col_defs,
             dual_col,
             dual_sign,
             init_basis,
@@ -223,26 +229,37 @@ impl NormSystem {
         self.rows.len()
     }
 
+    /// Rows and values of internal column `c`.
+    pub fn col(&self, c: usize) -> (&[u32], &[f64]) {
+        let range = self.col_ptr[c]..self.col_ptr[c + 1];
+        (&self.col_rows[range.clone()], &self.col_vals[range])
+    }
+
     /// Calls `f(row, value)` for every nonzero of internal column `c`.
     pub fn for_col<F: FnMut(usize, f64)>(&self, c: usize, mut f: F) {
-        match self.col_defs[c] {
-            ColDef::Structural(j) => {
-                for p in self.col_ptr[j]..self.col_ptr[j + 1] {
-                    f(self.col_rows[p] as usize, self.col_vals[p]);
-                }
-            }
-            ColDef::RowUnit { row, sign } => f(row, sign),
+        let (rows, vals) = self.col(c);
+        for (&r, &v) in rows.iter().zip(vals) {
+            f(r as usize, v);
         }
+    }
+
+    /// The row of unit column `c` (`c ≥ num_vars`).
+    pub fn unit_row(&self, c: usize) -> usize {
+        self.col_rows[self.col_ptr[c]] as usize
     }
 }
 
 /// Factorizes the basis matrix `B` given by `basis_cols` against the
 /// normalized system, in the given (ascending) column order. `None` when
-/// (numerically) singular. The order fixes the LU's rounding and with it
-/// the refined bits, so unlike the solver's refactorization (unit columns
-/// first, see [`crate::revised`]) this one must not reorder.
+/// the basis is not square or is (numerically) singular. The order fixes
+/// the LU's rounding and with it the refined bits, so unlike the solver's
+/// refactorization (unit columns first, see [`crate::revised`]) this one
+/// must not reorder.
 fn factorize_basis(sys: &NormSystem, basis_cols: &[usize]) -> Option<SparseLu> {
     let m = sys.m();
+    if basis_cols.len() != m {
+        return None;
+    }
     SparseLu::factorize(
         m,
         |k, out| {
@@ -266,34 +283,20 @@ pub(crate) fn bounded_rhs(sys: &NormSystem, upper: &[f64], at_upper: &[usize]) -
     b
 }
 
-/// Solves `B x_B = b'` and `Bᵀ y = c_B` for the given basis columns against
-/// the normalized system via two deterministic sparse LU solves. Returns the
-/// per-basis-position values and the dual vector in normalized-row space,
-/// or `None` when the basis matrix is numerically singular.
-pub(crate) fn basis_systems(
+/// Solves `Bᵀ y = c_B` for the basis `basis_cols` factored as `lu`: the
+/// dual vector in normalized-row space.
+fn basis_duals(
     sys: &NormSystem,
+    lu: &SparseLu,
     objective: &[f64],
-    upper: &[f64],
-    at_upper: &[usize],
     basis_cols: &[usize],
-) -> Option<(Vec<f64>, Vec<f64>)> {
-    let m = sys.m();
-    if basis_cols.len() != m {
-        return None;
-    }
-    let lu = factorize_basis(sys, basis_cols)?;
-    let b = bounded_rhs(sys, upper, at_upper);
-    let xb = lu.solve(&b);
+) -> Vec<f64> {
     // Basis costs under the (minimization-sense) structural objective.
     let cb: Vec<f64> = basis_cols
         .iter()
-        .map(|&c| match sys.col_defs[c] {
-            ColDef::Structural(j) if j < sys.num_vars => objective[j],
-            _ => 0.0,
-        })
+        .map(|&c| if c < sys.num_vars { objective[c] } else { 0.0 })
         .collect();
-    let y = lu.solve_transpose(&cb);
-    Some((xb, y))
+    lu.solve_transpose(&cb)
 }
 
 /// Maps raw basis-system solutions into user-facing `(values, duals,
@@ -312,14 +315,12 @@ pub(crate) fn package_solution(
     for &j in at_upper {
         values[j] = upper[j];
     }
-    for (k, &c) in basis_cols.iter().enumerate() {
-        if let ColDef::Structural(j) = sys.col_defs[c] {
-            if j < sys.num_vars {
-                if xb[k] < -1e-6 || xb[k] > upper[j] + 1e-6 {
-                    return None; // Refined vertex drifted infeasible.
-                }
-                values[j] = xb[k].max(0.0).min(upper[j]);
+    for (k, &j) in basis_cols.iter().enumerate() {
+        if j < sys.num_vars {
+            if xb[k] < -1e-6 || xb[k] > upper[j] + 1e-6 {
+                return None; // Refined vertex drifted infeasible.
             }
+            values[j] = xb[k].max(0.0).min(upper[j]);
         }
     }
     let objective_value = values
@@ -397,7 +398,10 @@ pub(crate) fn refine_canonical(
     terminal_cols: &[usize],
 ) -> Option<(Vec<f64>, Vec<f64>, f64)> {
     let m = sys.m();
-    let (xb, y) = basis_systems(sys, objective, upper, at_upper, terminal_cols)?;
+    let lu = factorize_basis(sys, terminal_cols)?;
+    let b = bounded_rhs(sys, upper, at_upper);
+    let xb = lu.solve(&b);
+    let y = basis_duals(sys, &lu, objective, terminal_cols);
     // Vertex support: basic columns at a tolerantly nonzero value.
     // `terminal_cols` is sorted, so the support inherits that order.
     let support: Vec<usize> = terminal_cols
@@ -411,8 +415,8 @@ pub(crate) fn refine_canonical(
         return package_solution(sys, objective, upper, at_upper, terminal_cols, &xb, &y);
     }
     let canon = complete_basis(sys, upper, at_upper, &support)?;
-    let (cxb, _) = basis_systems(sys, objective, upper, at_upper, &canon)?;
     // Values from the canonical basis, duals from the terminal one.
+    let cxb = factorize_basis(sys, &canon)?.solve(&b);
     package_solution(sys, objective, upper, at_upper, &canon, &cxb, &y)
 }
 
@@ -425,7 +429,9 @@ pub(crate) fn refine_from_basis(
     at_upper: &[usize],
     basis_cols: &[usize],
 ) -> Option<(Vec<f64>, Vec<f64>, f64)> {
-    let (xb, y) = basis_systems(sys, objective, upper, at_upper, basis_cols)?;
+    let lu = factorize_basis(sys, basis_cols)?;
+    let xb = lu.solve(&bounded_rhs(sys, upper, at_upper));
+    let y = basis_duals(sys, &lu, objective, basis_cols);
     package_solution(sys, objective, upper, at_upper, basis_cols, &xb, &y)
 }
 
@@ -443,139 +449,408 @@ pub(crate) fn complete_basis(
     support: &[usize],
 ) -> Option<Vec<usize>> {
     let m = sys.m();
-    let mut chosen: Vec<usize> = Vec::with_capacity(m);
-    // Eliminated copies of the chosen columns (sparse) and their pivots.
-    let mut reduced: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
-    let mut pivot_rows: Vec<usize> = Vec::with_capacity(m);
-    let mut pivot_vals: Vec<f64> = Vec::with_capacity(m);
-    let mut row_used = vec![false; m];
-    let mut scratch = vec![0.0f64; m];
-    let mut touched: Vec<u32> = Vec::new();
-
-    let mut add_column = |c: usize,
-                          chosen: &mut Vec<usize>,
-                          reduced: &mut Vec<Vec<(u32, f64)>>,
-                          pivot_rows: &mut Vec<usize>,
-                          pivot_vals: &mut Vec<f64>,
-                          row_used: &mut [bool]|
-     -> bool {
-        for &t in &*touched {
-            scratch[t as usize] = 0.0;
-        }
-        touched.clear();
-        sys.for_col(c, |r, v| {
-            if scratch[r] == 0.0 && v != 0.0 {
-                touched.push(r as u32);
-            }
-            scratch[r] += v;
-        });
-        for ((col, &p), &pv) in reduced.iter().zip(pivot_rows.iter()).zip(pivot_vals.iter()) {
-            let f = scratch[p] / pv;
-            if f != 0.0 {
-                for &(r, vr) in col {
-                    if scratch[r as usize] == 0.0 {
-                        touched.push(r);
-                    }
-                    scratch[r as usize] -= f * vr;
-                }
-            }
-        }
-        // Pivot: max magnitude over unused rows, ties to the smallest index.
-        let mut best: Option<usize> = None;
-        let mut best_mag = 1e-7;
-        for &t in &*touched {
-            let r = t as usize;
-            let mag = scratch[r].abs();
-            if !row_used[r] && (mag > best_mag || (mag == best_mag && best.is_some_and(|b| r < b)))
-            {
-                best_mag = mag;
-                best = Some(r);
-            }
-        }
-        let Some(p) = best else { return false };
-        row_used[p] = true;
-        chosen.push(c);
-        // `touched` can hold duplicates (a row that cancels to exactly 0.0
-        // mid-elimination is re-pushed when a later step revives it); the
-        // stored column must carry each row once or later eliminations
-        // would subtract it twice.
-        let mut col: Vec<(u32, f64)> = touched
-            .iter()
-            .map(|&t| (t, scratch[t as usize]))
-            .filter(|&(_, v)| v != 0.0)
-            .collect();
-        col.sort_by_key(|&(r, _)| r);
-        col.dedup_by_key(|&mut (r, _)| r);
-        reduced.push(col);
-        pivot_rows.push(p);
-        pivot_vals.push(scratch[p]);
-        true
-    };
-
+    let mut basis = Completion::new(m);
     for &c in support {
         // The support of a vertex is linearly independent; a failure here
         // means the "vertex" was numerically degenerate beyond repair.
-        if !add_column(
-            c,
-            &mut chosen,
-            &mut reduced,
-            &mut pivot_rows,
-            &mut pivot_vals,
-            &mut row_used,
-        ) {
+        if !basis.add(sys, c) {
             return None;
         }
     }
+    // Structural columns that cannot be basic at this vertex: pinned to
+    // zero, or parked at a positive upper bound. `support` and `at_upper`
+    // are ascending, like the scan.
     let mut at_upper_iter = at_upper.iter().copied().peekable();
+    let mut cannot_be_basic = |j: usize| {
+        while at_upper_iter.next_if(|&u| u < j).is_some() {}
+        upper[j] == 0.0 || at_upper_iter.peek() == Some(&j)
+    };
+    let mut support_iter = support.iter().copied().peekable();
     for c in 0..sys.art_start {
-        if chosen.len() == m {
+        if basis.chosen.len() == m {
             break;
         }
-        if support.binary_search(&c).is_ok() {
+        if support_iter.next_if_eq(&c).is_some() || (c < sys.num_vars && cannot_be_basic(c)) {
             continue;
         }
-        // Columns that cannot be basic at this vertex: pinned to zero, or
-        // parked at a positive upper bound.
-        if let ColDef::Structural(j) = sys.col_defs[c] {
-            if upper[j] == 0.0 {
-                continue;
-            }
-            while at_upper_iter.peek().is_some_and(|&u| u < j) {
-                at_upper_iter.next();
-            }
-            if at_upper_iter.peek() == Some(&j) {
-                continue;
-            }
-        }
-        add_column(
-            c,
-            &mut chosen,
-            &mut reduced,
-            &mut pivot_rows,
-            &mut pivot_vals,
-            &mut row_used,
-        );
+        basis.add(sys, c);
     }
     // Redundant rows leave the non-artificial columns short of rank `m`;
     // fall back to artificial columns (basic at zero, like the terminal
     // basis keeps them) so the completion is still a pure function of the
     // support.
     for c in sys.art_start..sys.total_cols {
-        if chosen.len() == m {
+        if basis.chosen.len() == m {
             break;
         }
-        add_column(
-            c,
-            &mut chosen,
-            &mut reduced,
-            &mut pivot_rows,
-            &mut pivot_vals,
-            &mut row_used,
-        );
+        basis.add(sys, c);
     }
+    let mut chosen = basis.chosen;
     if chosen.len() != m {
         return None;
     }
     chosen.sort_unstable();
     Some(chosen)
+}
+
+/// Marks a row no chosen column pivots on.
+const UNCHOSEN: u32 = u32::MAX;
+
+/// The chosen columns of [`complete_basis`], each eliminated against the
+/// ones chosen before it, and the candidate accumulator.
+struct Completion {
+    chosen: Vec<usize>,
+    /// Chosen column `i` pivots on row `pivot_row[i]` with value
+    /// `pivot_val[i]`. Its entries after elimination on the rows no column
+    /// pivoted on when it was chosen are
+    /// `red_row/red_val[red_ptr[i]..red_ptr[i + 1]]` (in no particular
+    /// order, each row once).
+    red_ptr: Vec<usize>,
+    red_row: Vec<u32>,
+    red_val: Vec<f64>,
+    pivot_row: Vec<u32>,
+    pivot_val: Vec<f64>,
+    /// Row -> index of the chosen column pivoting on it, or [`UNCHOSEN`].
+    chosen_at: Vec<u32>,
+    /// The candidate column, dense, all `0.0` between candidates, and the
+    /// rows it has touched.
+    x: Vec<f64>,
+    in_x: Vec<bool>,
+    touched: Vec<u32>,
+    /// One bit per chosen column whose pivot row the candidate touches.
+    pending: Vec<u64>,
+}
+
+impl Completion {
+    fn new(m: usize) -> Self {
+        Completion {
+            chosen: Vec::with_capacity(m),
+            red_ptr: vec![0],
+            red_row: Vec::new(),
+            red_val: Vec::new(),
+            pivot_row: Vec::with_capacity(m),
+            pivot_val: Vec::with_capacity(m),
+            chosen_at: vec![UNCHOSEN; m],
+            x: vec![0.0; m],
+            in_x: vec![false; m],
+            touched: Vec::new(),
+            pending: vec![0; m.div_ceil(64)],
+        }
+    }
+
+    /// Eliminates column `c` against the chosen columns and chooses it if a
+    /// pivot of magnitude `> 1e-7` remains on a row no chosen column
+    /// pivots on (max magnitude, ties to the smallest row).
+    ///
+    /// The elimination visits only the chosen columns whose pivot row the
+    /// candidate touches, drained in ascending chosen order from a bitset.
+    /// Every other chosen column would find an exact zero on its pivot row
+    /// and skip its update (`f != 0.0`), so the factors `f` and the updates
+    /// on every row not yet pivoted on are those of a pass over every
+    /// chosen column. A chosen column keeps no entry on the rows pivoted on
+    /// before it (its own pivot row included): applying one could only
+    /// change a row whose factor was already taken, and such rows are
+    /// never pivot candidates, so dropping them changes nothing the
+    /// completion decides and leaves each column's entries on the pivot
+    /// rows of later columns, whose bits it queues.
+    fn add(&mut self, sys: &NormSystem, c: usize) -> bool {
+        let words = self.pending.len();
+        let mut lo = words; // lowest word with a pending bit
+        let (rows, vals) = sys.col(c);
+        for (&r, &v) in rows.iter().zip(vals) {
+            let r = r as usize;
+            if !self.in_x[r] {
+                self.in_x[r] = true;
+                self.touched.push(r as u32);
+            }
+            self.x[r] += v;
+            let i = self.chosen_at[r];
+            if i != UNCHOSEN {
+                let i = i as usize;
+                self.pending[i / 64] |= 1 << (i % 64);
+                lo = lo.min(i / 64);
+            }
+        }
+        let mut w = lo;
+        while w < words {
+            let bits = self.pending[w];
+            if bits == 0 {
+                w += 1;
+                continue;
+            }
+            self.pending[w] = bits & (bits - 1);
+            let i = w * 64 + bits.trailing_zeros() as usize;
+            let f = self.x[self.pivot_row[i] as usize] / self.pivot_val[i];
+            if f != 0.0 {
+                for e in self.red_ptr[i]..self.red_ptr[i + 1] {
+                    let r = self.red_row[e] as usize;
+                    if !self.in_x[r] {
+                        self.in_x[r] = true;
+                        self.touched.push(r as u32);
+                    }
+                    self.x[r] -= f * self.red_val[e];
+                    let later = self.chosen_at[r];
+                    if later != UNCHOSEN {
+                        let later = later as usize;
+                        self.pending[later / 64] |= 1 << (later % 64);
+                    }
+                }
+            }
+        }
+
+        let mut best: Option<usize> = None;
+        let mut best_mag = 1e-7;
+        for &t in &self.touched {
+            let r = t as usize;
+            let mag = self.x[r].abs();
+            if self.chosen_at[r] == UNCHOSEN
+                && (mag > best_mag || (mag == best_mag && best.is_some_and(|b| r < b)))
+            {
+                best_mag = mag;
+                best = Some(r);
+            }
+        }
+        if let Some(p) = best {
+            self.chosen_at[p] = self.chosen.len() as u32;
+            self.chosen.push(c);
+            for &t in &self.touched {
+                let v = self.x[t as usize];
+                if v != 0.0 && self.chosen_at[t as usize] == UNCHOSEN {
+                    self.red_row.push(t);
+                    self.red_val.push(v);
+                }
+            }
+            self.red_ptr.push(self.red_row.len());
+            self.pivot_row.push(p as u32);
+            self.pivot_val.push(self.x[p]);
+        }
+        for &t in &self.touched {
+            self.x[t as usize] = 0.0;
+            self.in_x[t as usize] = false;
+        }
+        self.touched.clear();
+        best.is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::problem::Constraint;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The completion loop before the worklist, kept as the reference:
+    /// every candidate is eliminated against every chosen column in chosen
+    /// order, one `Vec` per chosen column.
+    fn complete_basis_reference(
+        sys: &NormSystem,
+        upper: &[f64],
+        at_upper: &[usize],
+        support: &[usize],
+    ) -> Option<Vec<usize>> {
+        let m = sys.m();
+        let mut chosen: Vec<usize> = Vec::with_capacity(m);
+        let mut reduced: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
+        let mut pivot_rows: Vec<usize> = Vec::with_capacity(m);
+        let mut pivot_vals: Vec<f64> = Vec::with_capacity(m);
+        let mut row_used = vec![false; m];
+        let mut scratch = vec![0.0f64; m];
+        let mut touched: Vec<u32> = Vec::new();
+
+        let mut add_column = |c: usize,
+                              chosen: &mut Vec<usize>,
+                              reduced: &mut Vec<Vec<(u32, f64)>>,
+                              pivot_rows: &mut Vec<usize>,
+                              pivot_vals: &mut Vec<f64>,
+                              row_used: &mut [bool]|
+         -> bool {
+            for &t in &*touched {
+                scratch[t as usize] = 0.0;
+            }
+            touched.clear();
+            sys.for_col(c, |r, v| {
+                if scratch[r] == 0.0 && v != 0.0 {
+                    touched.push(r as u32);
+                }
+                scratch[r] += v;
+            });
+            for ((col, &p), &pv) in reduced.iter().zip(pivot_rows.iter()).zip(pivot_vals.iter()) {
+                let f = scratch[p] / pv;
+                if f != 0.0 {
+                    for &(r, vr) in col {
+                        if scratch[r as usize] == 0.0 {
+                            touched.push(r);
+                        }
+                        scratch[r as usize] -= f * vr;
+                    }
+                }
+            }
+            let mut best: Option<usize> = None;
+            let mut best_mag = 1e-7;
+            for &t in &*touched {
+                let r = t as usize;
+                let mag = scratch[r].abs();
+                if !row_used[r]
+                    && (mag > best_mag || (mag == best_mag && best.is_some_and(|b| r < b)))
+                {
+                    best_mag = mag;
+                    best = Some(r);
+                }
+            }
+            let Some(p) = best else { return false };
+            row_used[p] = true;
+            chosen.push(c);
+            let mut col: Vec<(u32, f64)> = touched
+                .iter()
+                .map(|&t| (t, scratch[t as usize]))
+                .filter(|&(_, v)| v != 0.0)
+                .collect();
+            col.sort_by_key(|&(r, _)| r);
+            col.dedup_by_key(|&mut (r, _)| r);
+            reduced.push(col);
+            pivot_rows.push(p);
+            pivot_vals.push(scratch[p]);
+            true
+        };
+
+        for &c in support {
+            if !add_column(
+                c,
+                &mut chosen,
+                &mut reduced,
+                &mut pivot_rows,
+                &mut pivot_vals,
+                &mut row_used,
+            ) {
+                return None;
+            }
+        }
+        let mut at_upper_iter = at_upper.iter().copied().peekable();
+        let structural = |c: usize| upper.get(c).filter(|_| c < sys.num_vars);
+        for c in 0..sys.art_start {
+            if chosen.len() == m {
+                break;
+            }
+            if support.binary_search(&c).is_ok() {
+                continue;
+            }
+            if let Some(&ub) = structural(c) {
+                if ub == 0.0 {
+                    continue;
+                }
+                while at_upper_iter.peek().is_some_and(|&u| u < c) {
+                    at_upper_iter.next();
+                }
+                if at_upper_iter.peek() == Some(&c) {
+                    continue;
+                }
+            }
+            add_column(
+                c,
+                &mut chosen,
+                &mut reduced,
+                &mut pivot_rows,
+                &mut pivot_vals,
+                &mut row_used,
+            );
+        }
+        for c in sys.art_start..sys.total_cols {
+            if chosen.len() == m {
+                break;
+            }
+            add_column(
+                c,
+                &mut chosen,
+                &mut reduced,
+                &mut pivot_rows,
+                &mut pivot_vals,
+                &mut row_used,
+            );
+        }
+        if chosen.len() != m {
+            return None;
+        }
+        chosen.sort_unstable();
+        Some(chosen)
+    }
+
+    /// A random completion problem shaped like a degenerate vertex: sparse
+    /// rows of every relation, about a fifth of them redundant (a copy of
+    /// an earlier row, or the sum of two), zero right-hand sides, `ub = 0`
+    /// pins, columns at a finite upper bound, and a support of a few
+    /// columns that need not be independent.
+    fn random_completion(seed: u64) -> (NormSystem, Vec<f64>, Vec<usize>, Vec<usize>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..80);
+        let m = rng.gen_range(1..120);
+        let mut cons: Vec<Constraint> = Vec::with_capacity(m);
+        for _ in 0..m {
+            if cons.len() >= 2 && rng.gen_bool(0.2) {
+                let a = cons[rng.gen_range(0..cons.len())].clone();
+                let b = &cons[rng.gen_range(0..cons.len())];
+                cons.push(if rng.gen_bool(0.5) {
+                    a
+                } else {
+                    Constraint {
+                        terms: a.terms.iter().chain(&b.terms).copied().collect(),
+                        relation: Relation::Eq,
+                        rhs: a.rhs + b.rhs,
+                    }
+                });
+                continue;
+            }
+            let terms = (0..rng.gen_range(1..5))
+                .map(|_| {
+                    let v = rng.gen_range(1..4) as f64;
+                    (rng.gen_range(0..n), if rng.gen_bool(0.5) { v } else { -v })
+                })
+                .collect();
+            let relation = [Relation::Le, Relation::Ge, Relation::Eq][rng.gen_range(0..3usize)];
+            let rhs = if rng.gen_bool(0.4) {
+                0.0
+            } else {
+                rng.gen_range(-3..6) as f64
+            };
+            cons.push(Constraint {
+                terms,
+                relation,
+                rhs,
+            });
+        }
+        let sys = NormSystem::build(n, &cons);
+        let upper: Vec<f64> = (0..n)
+            .map(|_| match rng.gen_range(0..10) {
+                0 | 1 => 0.0,
+                2..=4 => rng.gen_range(1..5) as f64,
+                _ => f64::INFINITY,
+            })
+            .collect();
+        let at_upper: Vec<usize> = (0..n)
+            .filter(|&j| upper[j].is_finite() && upper[j] > 0.0 && rng.gen_bool(0.5))
+            .collect();
+        let mut support: Vec<usize> = (0..rng.gen_range(0..=m.min(12)))
+            .map(|_| rng.gen_range(0..sys.total_cols))
+            .filter(|&c| c >= n || (upper[c] != 0.0 && at_upper.binary_search(&c).is_err()))
+            .collect();
+        support.sort_unstable();
+        support.dedup();
+        (sys, upper, at_upper, support)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The worklist completion picks the reference loop's columns, or
+        /// fails where it fails.
+        #[test]
+        fn completion_matches_the_reference(seed in 0u64..u64::MAX) {
+            let (sys, upper, at_upper, support) = random_completion(seed);
+            prop_assert_eq!(
+                complete_basis(&sys, &upper, &at_upper, &support),
+                complete_basis_reference(&sys, &upper, &at_upper, &support)
+            );
+        }
+    }
 }

@@ -25,7 +25,7 @@
 //! (reduced basis, dropped slacks, fixed columns) refines to the same bits
 //! through [`crate::norm::refine_canonical`].
 
-use crate::norm::{ColDef, NormSystem};
+use crate::norm::NormSystem;
 use crate::problem::Relation;
 
 /// The reduced system plus what it takes to map its answer back.
@@ -97,10 +97,14 @@ impl Presolve {
         // Slacks map through `dual_col` (a `≤`/`≥` row's slack or surplus),
         // artificials through `init_basis` (a `≥`/`=` row's artificial).
         let col_map: Vec<usize> = (0..sys.total_cols)
-            .map(|c| match sys.col_defs[c] {
-                ColDef::Structural(j) => j,
-                ColDef::RowUnit { row, .. } if c < sys.art_start => full.dual_col[kept[row]],
-                ColDef::RowUnit { row, .. } => full.init_basis[kept[row]],
+            .map(|c| {
+                if c < sys.num_vars {
+                    c
+                } else if c < sys.art_start {
+                    full.dual_col[kept[sys.unit_row(c)]]
+                } else {
+                    full.init_basis[kept[sys.unit_row(c)]]
+                }
             })
             .collect();
 

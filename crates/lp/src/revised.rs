@@ -40,9 +40,7 @@
 //! keeps Bland's rule for its cleanup; the irrational weights make the face
 //! minimizer unique, so the two pivot paths still meet at one vertex.
 
-use crate::norm::{
-    bounded_rhs, refine_canonical, refine_from_basis, user_duals, ColDef, NormSystem,
-};
+use crate::norm::{bounded_rhs, refine_canonical, refine_from_basis, user_duals, NormSystem};
 use crate::presolve::Presolve;
 use crate::problem::Constraint;
 use crate::sparsela::SparseLu;
@@ -86,6 +84,10 @@ struct Rev<'a> {
     lu: SparseLu,
     etas: Vec<Eta>,
     pivots: usize,
+    /// The FTRAN'd entering column of the current step.
+    w: Vec<f64>,
+    /// Work space of the LU solves.
+    tmp: Vec<f64>,
 }
 
 impl<'a> Rev<'a> {
@@ -108,6 +110,8 @@ impl<'a> Rev<'a> {
             lu: SparseLu::empty(),
             etas: Vec::new(),
             pivots: 0,
+            w: Vec::with_capacity(m),
+            tmp: Vec::with_capacity(m),
         };
         rev.refactor()?;
         Ok(rev)
@@ -122,8 +126,7 @@ impl<'a> Rev<'a> {
     fn refactor(&mut self) -> Result<(), LpError> {
         let m = self.sys.m();
         let sys = self.sys;
-        self.basis_cols
-            .sort_by_key(|&c| matches!(sys.col_defs[c], ColDef::Structural(_)));
+        self.basis_cols.sort_by_key(|&c| c < sys.num_vars);
         let cols = &self.basis_cols;
         self.lu = SparseLu::factorize(
             m,
@@ -134,7 +137,7 @@ impl<'a> Rev<'a> {
         self.etas.clear();
         let at_upper = self.at_upper();
         let mut b = bounded_rhs(self.sys, &self.ub[..self.sys.num_vars], &at_upper);
-        self.lu.solve_in_place(&mut b);
+        self.lu.solve_in_place(&mut b, &mut self.tmp);
         self.xb = b;
         Ok(())
     }
@@ -148,8 +151,8 @@ impl<'a> Rev<'a> {
 
     /// FTRAN: `v <- B⁻¹ v` (`v` in original row coordinates in, basis
     /// positions out).
-    fn ftran(&self, v: &mut [f64]) {
-        self.lu.solve_in_place(v);
+    fn ftran(&mut self, v: &mut [f64]) {
+        self.lu.solve_in_place(v, &mut self.tmp);
         for eta in &self.etas {
             let r = eta.r as usize;
             let t = v[r] / eta.wr;
@@ -164,7 +167,7 @@ impl<'a> Rev<'a> {
 
     /// BTRAN: `v <- B⁻ᵀ v` (`v` indexed by basis position in, original row
     /// coordinates out).
-    fn btran(&self, v: &mut [f64]) {
+    fn btran(&mut self, v: &mut [f64]) {
         for eta in self.etas.iter().rev() {
             let r = eta.r as usize;
             let mut acc = v[r];
@@ -173,30 +176,31 @@ impl<'a> Rev<'a> {
             }
             v[r] = acc / eta.wr;
         }
-        self.lu.solve_transpose_in_place(v);
+        self.lu.solve_transpose_in_place(v, &mut self.tmp);
     }
 
     /// Simplex multipliers for cost vector `cost` (indexed by internal
-    /// column): `y = B⁻ᵀ c_B`, in original row coordinates.
-    fn multipliers(&self, cost: &[f64]) -> Vec<f64> {
-        let mut cb = vec![0.0f64; self.sys.m()];
-        for (i, &c) in self.basis_cols.iter().enumerate() {
-            cb[i] = cost[c];
-        }
-        self.btran(&mut cb);
-        cb
+    /// column): `y = B⁻ᵀ c_B`, in original row coordinates, written over
+    /// `y`.
+    fn multipliers_into(&mut self, cost: &[f64], y: &mut Vec<f64>) {
+        y.clear();
+        y.extend(self.basis_cols.iter().map(|&c| cost[c]));
+        self.btran(y);
+    }
+
+    /// [`Rev::multipliers_into`] into a new vector.
+    fn multipliers(&mut self, cost: &[f64]) -> Vec<f64> {
+        let mut y = Vec::with_capacity(self.sys.m());
+        self.multipliers_into(cost, &mut y);
+        y
     }
 
     /// Reduced cost of column `j` given multipliers `y`.
     fn reduced_cost(&self, cost: &[f64], y: &[f64], j: usize) -> f64 {
+        let (rows, vals) = self.sys.col(j);
         let mut dot = 0.0;
-        match self.sys.col_defs[j] {
-            ColDef::Structural(v) => {
-                for p in self.sys.col_ptr[v]..self.sys.col_ptr[v + 1] {
-                    dot += y[self.sys.col_rows[p] as usize] * self.sys.col_vals[p];
-                }
-            }
-            ColDef::RowUnit { row, sign } => dot = y[row] * sign,
+        for (&r, &v) in rows.iter().zip(vals) {
+            dot += y[r as usize] * v;
         }
         cost[j] - dot
     }
@@ -215,16 +219,24 @@ impl<'a> Rev<'a> {
     /// bound flip or a basis change. Returns `Err(Unbounded)` when no step
     /// length limits the move.
     fn step(&mut self, q: usize) -> Result<(), LpError> {
-        let m = self.sys.m();
+        // w = B⁻¹ a_q, in a buffer kept across steps.
+        let mut w = std::mem::take(&mut self.w);
+        w.clear();
+        w.resize(self.sys.m(), 0.0);
+        self.sys.for_col(q, |r, v| w[r] += v);
+        self.ftran(&mut w);
+        let result = self.move_along(q, &w);
+        self.w = w;
+        result
+    }
+
+    /// The rest of [`Rev::step`], given the FTRAN'd entering column `w`.
+    fn move_along(&mut self, q: usize, w: &[f64]) -> Result<(), LpError> {
         let dir: f64 = if self.status[q] == Status::Lower {
             1.0
         } else {
             -1.0
         };
-        // w = B⁻¹ a_q.
-        let mut w = vec![0.0f64; m];
-        self.sys.for_col(q, |r, v| w[r] += v);
-        self.ftran(&mut w);
 
         // Bounded ratio test: the entering variable moves by t ≥ 0 toward
         // its opposite bound; each basic variable moves by −dir·w_i·t and
@@ -365,8 +377,9 @@ impl<'a> Rev<'a> {
         let size = self.sys.m() + self.sys.total_cols;
         let limit = 200 * size + 1000;
         let dantzig_until = 20 * size + 200;
+        let mut y = Vec::with_capacity(self.sys.m());
         for iter in 0..limit {
-            let y = self.multipliers(cost);
+            self.multipliers_into(cost, &mut y);
             let bland = iter >= dantzig_until;
             let mut entering = None;
             let mut best = tol;
@@ -397,7 +410,7 @@ impl<'a> Rev<'a> {
     /// column that may enter, has `|d1| ≤ FACE_EPS` and violates the
     /// secondary sign condition) finds nothing to enter.
     #[cfg(feature = "audit")]
-    fn audit_face(&self, cost: &[f64], sec: &[f64]) {
+    fn audit_face(&mut self, cost: &[f64], sec: &[f64]) {
         let y1 = self.multipliers(cost);
         let y2 = self.multipliers(sec);
         let missed = (0..self.sys.total_cols).find(|&j| {
@@ -440,7 +453,7 @@ impl<'a> Rev<'a> {
     /// the shared canonical refinement (with terminal-basis and raw-state
     /// fallbacks): `pre` maps this reduced basis back to a full one.
     fn extract(
-        self,
+        mut self,
         full: &NormSystem,
         pre: &Presolve,
         objective: &[f64],
@@ -466,7 +479,7 @@ impl<'a> Rev<'a> {
     /// Last-resort packaging straight from solver state, used only when the
     /// refinement LU rejects the terminal basis (numerically singular).
     fn raw_package(
-        &self,
+        &mut self,
         full: &NormSystem,
         pre: &Presolve,
         objective: &[f64],
@@ -477,11 +490,9 @@ impl<'a> Rev<'a> {
                 *v = self.ub[j];
             }
         }
-        for (i, &c) in self.basis_cols.iter().enumerate() {
-            if let ColDef::Structural(j) = self.sys.col_defs[c] {
-                if j < self.sys.num_vars {
-                    values[j] = self.xb[i].max(0.0).min(self.ub[j]);
-                }
+        for (i, &j) in self.basis_cols.iter().enumerate() {
+            if j < self.sys.num_vars {
+                values[j] = self.xb[i].max(0.0).min(self.ub[j]);
             }
         }
         pre.fill_fixed(full, &mut values);

@@ -28,7 +28,7 @@
 //! the terminal basis always has full length `m` and refines through the
 //! same code path as the sparse backend.
 
-use crate::norm::{refine_canonical, refine_from_basis, rows_satisfied, ColDef, NormSystem};
+use crate::norm::{refine_canonical, refine_from_basis, rows_satisfied, NormSystem};
 use crate::problem::{Constraint, Relation};
 use crate::types::{LpError, Solution, EPS, FACE_EPS};
 
@@ -249,9 +249,7 @@ fn build_tableau(sys: &NormSystem) -> Tableau {
         a[base + vars] = row.rhs;
     }
     for c in sys.num_vars..vars {
-        if let ColDef::RowUnit { row, sign } = sys.col_defs[c] {
-            a[row * w + c] = sign;
-        }
+        sys.for_col(c, |row, sign| a[row * w + c] = sign);
     }
     Tableau {
         rows: m,
@@ -301,9 +299,7 @@ pub(crate) fn solve_dense(
     let sys = NormSystem::build(num_vars, constraints);
     let mut t = build_tableau(&sys);
     let barred_p1: Vec<bool> = (0..sys.total_cols)
-        .map(
-            |c| matches!(sys.col_defs[c], ColDef::Structural(j) if j < num_vars && upper[j] == 0.0),
-        )
+        .map(|c| c < num_vars && upper[c] == 0.0)
         .collect();
     let barred_p2: Vec<bool> = (0..sys.total_cols)
         .map(|c| barred_p1[c] || c >= sys.art_start)

@@ -18,12 +18,25 @@
 //! leaves a dense `L` column behind, and every later unit column on a row
 //! it eliminated picks that fill up again.
 //!
-//! Everything here is deterministic: pivot selection breaks magnitude ties
-//! toward the smallest row index, per-column updates are applied in
-//! ascending eliminated-column order (drained from a bitset over pivot
-//! positions), and stored factor columns are sorted by row, so identical
-//! input columns always produce bit-identical factors and solves. Both
-//! solver backends lean on this for their bit-equality contract.
+//! One kernel serves both, and each column picks its path by what it
+//! touches: a single entry on an unpivoted row (the refactor's unit
+//! columns) pivots there with no work; any other column drains the earlier
+//! columns it reaches from a bitset over pivot positions; and a column that
+//! has touched more than `m / SCAN_SHARE` rows (an extraction's unit column
+//! on a row a structural already pivoted, which picks up a dense `L`
+//! column) stops tracking and scans every remaining pivot position into
+//! the dense accumulator.
+//!
+//! Everything here is deterministic, and the three paths do the same
+//! arithmetic: pivot selection takes the largest magnitude and breaks ties
+//! toward the smallest row index, whatever order the candidates are seen
+//! in; every path applies the earlier columns in ascending pivot position,
+//! and a position the drain would not visit holds an exact zero, which the
+//! scan skips as the drain skips a cancelled one (`xv != 0.0`); and stored
+//! factor columns are sorted by row. So identical input columns always
+//! produce bit-identical factors and solves. Both solver backends lean on
+//! this for their bit-equality contract, and the tests check every factor
+//! array against a one-`Vec`-per-column heap kernel.
 
 /// Sparse LU factors of a square matrix `B` with row permutation:
 /// `P·B = L·U` (up to the usual left-looking bookkeeping), where `L` is unit
@@ -52,6 +65,12 @@ pub(crate) struct SparseLu {
 /// Marks an original row that has no pivot position yet.
 const UNPIVOTED: u32 = u32::MAX;
 
+/// A column switches from the worklist drain to the scan path once it has
+/// touched more than `m / SCAN_SHARE` rows. Where it switches changes no
+/// bit, only time; on the extraction bases of traced `scale-120` and
+/// `trace-30` runs, shares from 1/4 to 1/32 timed the same within noise.
+const SCAN_SHARE: usize = 8;
+
 impl SparseLu {
     /// The factorization of the `0×0` matrix: a placeholder until the
     /// first real [`SparseLu::factorize`].
@@ -73,6 +92,12 @@ impl SparseLu {
     /// `col(k, &mut out)` as `(row, value)` pairs (any order; duplicate rows
     /// are summed). Returns `None` if a pivot of magnitude `> tol` cannot be
     /// found for some column (numerically singular).
+    ///
+    /// Each column takes one of three paths with the same arithmetic (the
+    /// module doc says why the bits agree): a single entry on an unpivoted
+    /// row pivots there; any other column drains a worklist of the earlier
+    /// columns it reaches, and once it has touched more than
+    /// `m / SCAN_SHARE` rows it scans the remaining pivot positions instead.
     pub fn factorize<F: FnMut(usize, &mut Vec<(u32, f64)>)>(
         m: usize,
         mut col: F,
@@ -93,8 +118,12 @@ impl SparseLu {
         lu.u_ptr.push(0);
         // Original row -> pivot position (UNPIVOTED while unpivoted).
         let mut pinv = vec![UNPIVOTED; m];
+        // The unpivoted rows, ascending, plus any pivoted since the last
+        // scan, which drops them.
+        let mut free: Vec<u32> = (0..m as u32).collect();
 
-        // Dense accumulator for the current column plus touch tracking.
+        // Dense accumulator for the current column, all `0.0` between
+        // columns, plus the worklist path's touch tracking.
         let mut x = vec![0.0f64; m];
         let mut in_x = vec![false; m];
         let mut touched: Vec<u32> = Vec::new();
@@ -104,10 +133,29 @@ impl SparseLu {
         // dependency order).
         let words = m.div_ceil(64);
         let mut pending = vec![0u64; words];
+        let scan_at = m / SCAN_SHARE;
 
         for k in 0..m {
             buf.clear();
             col(k, &mut buf);
+            // Unit path: one entry on an unpivoted row eliminates nothing,
+            // pivots on that row and leaves an empty `L` column, which is
+            // what the worklist path computes for it.
+            if let [(r, v)] = buf[..] {
+                let r = r as usize;
+                if pinv[r] == UNPIVOTED {
+                    if v.abs() > tol {
+                        lu.pivrow[k] = r as u32;
+                        pinv[r] = k as u32;
+                        lu.diag[k] = v;
+                        lu.l_ptr.push(lu.l_row.len());
+                        lu.u_ptr.push(lu.u_pos.len());
+                        continue;
+                    }
+                    return None;
+                }
+            }
+
             let mut lo = words; // lowest word with a pending bit
             for &(r, v) in &buf {
                 let r = r as usize;
@@ -126,12 +174,13 @@ impl SparseLu {
                 }
             }
 
-            // Left-looking elimination: apply every earlier column whose
-            // pivot row this column touches, in ascending order. Applying
-            // column `j` may fill pivot rows of later columns only (its `L`
-            // rows were unpivoted when `j` was factored), so their bits lie
-            // past the cursor.
+            // Worklist path: apply every earlier column whose pivot row
+            // this column touches, in ascending order. Applying column `j`
+            // may fill pivot rows of later columns only (its `L` rows were
+            // unpivoted when `j` was factored), so their bits lie past the
+            // cursor.
             let mut w = lo;
+            let mut scan_from = None;
             while w < words {
                 let bits = pending[w];
                 if bits == 0 {
@@ -158,42 +207,96 @@ impl SparseLu {
                             pending[p / 64] |= 1 << (p % 64);
                         }
                     }
+                    if touched.len() > scan_at {
+                        pending[w..].fill(0);
+                        scan_from = Some(j + 1);
+                        break;
+                    }
                 }
             }
-
-            // Partial pivot over unpivoted rows: max magnitude, ties to the
-            // smallest original row index (scan-order independent).
-            let mut best: Option<usize> = None;
-            let mut best_mag = tol;
-            for &t in &touched {
-                let r = t as usize;
-                if pinv[r] != UNPIVOTED {
-                    continue;
-                }
-                let mag = x[r].abs();
-                if mag > best_mag || (mag == best_mag && best.is_some_and(|b| r < b)) {
-                    best_mag = mag;
-                    best = Some(r);
-                }
-            }
-            let p = best?;
-            lu.pivrow[k] = p as u32;
-            pinv[p] = k as u32;
-            lu.diag[k] = x[p];
 
             let l_start = lu.l_row.len();
-            lu.l_row.extend(
-                touched
-                    .iter()
-                    .filter(|&&t| pinv[t as usize] == UNPIVOTED && x[t as usize] != 0.0),
-            );
-            lu.l_row[l_start..].sort_unstable();
-            let d = lu.diag[k];
-            lu.l_val
-                .extend(lu.l_row[l_start..].iter().map(|&r| x[r as usize] / d));
+            let p = if let Some(from) = scan_from {
+                // Scan path: the column has gone dense, and tracking what
+                // it touches costs more than visiting everything. Each
+                // position past `from` is applied in ascending order; one
+                // that no update reached holds an exact zero and is skipped
+                // as the drain's `xv != 0.0` would, so the updates and their
+                // order are the drain's. A pivot row is final once its
+                // position is read (later `L` columns hold unpivoted rows
+                // only), so it is cleared there.
+                for j in from..k {
+                    let pr = lu.pivrow[j] as usize;
+                    let xv = x[pr];
+                    x[pr] = 0.0;
+                    if xv != 0.0 {
+                        lu.u_pos.push(j as u32);
+                        lu.u_val.push(xv);
+                        let col = lu.l_ptr[j]..lu.l_ptr[j + 1];
+                        for (&r, &l) in lu.l_row[col.clone()].iter().zip(&lu.l_val[col]) {
+                            x[r as usize] -= xv * l;
+                        }
+                    }
+                }
+                // The nonzero unpivoted rows in ascending order are the `L`
+                // column plus the pivot; a strict `>` in that order breaks
+                // magnitude ties toward the smallest row, as the drain's
+                // rule does.
+                let mut best: Option<usize> = None;
+                let mut best_mag = tol;
+                free.retain(|&r| {
+                    let r = r as usize;
+                    if pinv[r] != UNPIVOTED {
+                        return false;
+                    }
+                    let xr = x[r];
+                    if xr != 0.0 {
+                        lu.l_row.push(r as u32);
+                        if xr.abs() > best_mag {
+                            best_mag = xr.abs();
+                            best = Some(lu.l_row.len() - 1);
+                        }
+                    } else {
+                        x[r] = 0.0; // a cancelled `-0.0`
+                    }
+                    true
+                });
+                lu.l_row.remove(best?) as usize
+            } else {
+                // Partial pivot over unpivoted rows: max magnitude, ties to
+                // the smallest original row index (scan-order independent).
+                let mut best: Option<usize> = None;
+                let mut best_mag = tol;
+                for &t in &touched {
+                    let r = t as usize;
+                    if pinv[r] != UNPIVOTED {
+                        continue;
+                    }
+                    let mag = x[r].abs();
+                    if mag > best_mag || (mag == best_mag && best.is_some_and(|b| r < b)) {
+                        best_mag = mag;
+                        best = Some(r);
+                    }
+                }
+                let p = best?;
+                lu.l_row.extend(touched.iter().filter(|&&t| {
+                    let r = t as usize;
+                    r != p && pinv[r] == UNPIVOTED && x[r] != 0.0
+                }));
+                lu.l_row[l_start..].sort_unstable();
+                p
+            };
+            lu.pivrow[k] = p as u32;
+            pinv[p] = k as u32;
+            let d = x[p];
+            lu.diag[k] = d;
+            x[p] = 0.0;
+            for &r in &lu.l_row[l_start..] {
+                lu.l_val.push(x[r as usize] / d);
+                x[r as usize] = 0.0;
+            }
             lu.l_ptr.push(lu.l_row.len());
             lu.u_ptr.push(lu.u_pos.len());
-
             for &t in &touched {
                 x[t as usize] = 0.0;
                 in_x[t as usize] = false;
@@ -215,13 +318,14 @@ impl SparseLu {
     /// factorization).
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let mut work = b.to_vec();
-        self.solve_in_place(&mut work);
+        self.solve_in_place(&mut work, &mut Vec::new());
         work
     }
 
     /// In-place FTRAN: on entry `work` holds `b` in original row
-    /// coordinates; on exit it holds `x` indexed by pivot position.
-    pub fn solve_in_place(&self, work: &mut [f64]) {
+    /// coordinates; on exit it holds `x` indexed by pivot position. `tmp`
+    /// is work space (its contents are overwritten).
+    pub fn solve_in_place(&self, work: &mut [f64], tmp: &mut Vec<f64>) {
         debug_assert_eq!(work.len(), self.m);
         // Forward solve with L (unit diagonal), in original row coords.
         for j in 0..self.m {
@@ -233,7 +337,9 @@ impl SparseLu {
             }
         }
         // Permute to pivot positions.
-        let mut y: Vec<f64> = self.pivrow.iter().map(|&r| work[r as usize]).collect();
+        let y = tmp;
+        y.clear();
+        y.extend(self.pivrow.iter().map(|&r| work[r as usize]));
         // Back substitution with U, column sweep from the right.
         for k in (0..self.m).rev() {
             let xk = y[k] / self.diag[k];
@@ -244,24 +350,27 @@ impl SparseLu {
                 }
             }
         }
-        work.copy_from_slice(&y);
+        work.copy_from_slice(y);
     }
 
     /// Solves `Bᵀ y = c` (BTRAN). `c` is indexed by pivot position (= basis
     /// position); the result is in original row coordinates.
     pub fn solve_transpose(&self, c: &[f64]) -> Vec<f64> {
         let mut work = c.to_vec();
-        self.solve_transpose_in_place(&mut work);
+        self.solve_transpose_in_place(&mut work, &mut Vec::new());
         work
     }
 
     /// In-place BTRAN: on entry `work` holds `c` indexed by pivot position;
-    /// on exit it holds `y` in original row coordinates.
-    pub fn solve_transpose_in_place(&self, work: &mut [f64]) {
+    /// on exit it holds `y` in original row coordinates. `tmp` is work
+    /// space (its contents are overwritten).
+    pub fn solve_transpose_in_place(&self, work: &mut [f64], tmp: &mut Vec<f64>) {
         debug_assert_eq!(work.len(), self.m);
         // Forward solve with Uᵀ (lower triangular in pivot order):
         // z_k = (c_k − Σ_{j<k} U[j][k]·z_j) / d_k.
-        let mut z = vec![0.0f64; self.m];
+        let z = tmp;
+        z.clear();
+        z.resize(self.m, 0.0);
         for k in 0..self.m {
             let mut acc = work[k];
             for e in self.u_ptr[k]..self.u_ptr[k + 1] {
@@ -548,25 +657,154 @@ mod tests {
             .collect()
     }
 
+    /// A basis shaped like a canonical extraction's: structural columns
+    /// first, then unit columns in ascending row order on the rows the
+    /// structurals do not own. A structural's largest entry mostly lies off
+    /// its own row, so the structurals pivot on rows the unit columns then
+    /// hit, and each such unit column fills `L` densely: the scan path's
+    /// case. Singular when the structurals' block on their own rows is.
+    fn extraction_basis(m: usize, seed: u64) -> Vec<Vec<(u32, f64)>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows: Vec<u32> = (0..m as u32).collect();
+        for i in (1..m).rev() {
+            rows.swap(i, rng.gen_range(0..=i));
+        }
+        let (own, rest) = rows.split_at(rng.gen_range(1..=m.div_ceil(3)));
+        let mut unit_rows = rest.to_vec();
+        unit_rows.sort_unstable();
+        let mut cols: Vec<Vec<(u32, f64)>> = own
+            .iter()
+            .map(|&r| {
+                let mut col = vec![(r, rng.gen_range(1..9) as f64 / 8.0)];
+                for _ in 0..rng.gen_range(1..8) {
+                    col.push((
+                        rng.gen_range(0..m as u32),
+                        rng.gen_range(-16..17) as f64 / 8.0,
+                    ));
+                }
+                col
+            })
+            .collect();
+        cols.extend(unit_rows.iter().map(|&r| vec![(r, 1.0)]));
+        cols
+    }
+
+    /// Every factor array, values as bits.
+    #[derive(Debug, PartialEq)]
+    struct Factors {
+        l_ptr: Vec<usize>,
+        l_row: Vec<u32>,
+        l_val: Vec<u64>,
+        u_ptr: Vec<usize>,
+        u_pos: Vec<u32>,
+        u_val: Vec<u64>,
+        diag: Vec<u64>,
+        pivrow: Vec<u32>,
+    }
+
+    impl Factors {
+        fn of_flat(lu: &SparseLu) -> Self {
+            Factors {
+                l_ptr: lu.l_ptr.clone(),
+                l_row: lu.l_row.clone(),
+                l_val: bits(&lu.l_val),
+                u_ptr: lu.u_ptr.clone(),
+                u_pos: lu.u_pos.clone(),
+                u_val: bits(&lu.u_val),
+                diag: bits(&lu.diag),
+                pivrow: lu.pivrow.clone(),
+            }
+        }
+
+        fn of_heap(lu: &HeapLu) -> Self {
+            let ptr = |cols: &[Vec<(u32, f64)>]| {
+                std::iter::once(0)
+                    .chain(cols.iter().scan(0, |n, c| {
+                        *n += c.len();
+                        Some(*n)
+                    }))
+                    .collect()
+            };
+            let flat = |cols: &[Vec<(u32, f64)>]| -> (Vec<u32>, Vec<u64>) {
+                cols.iter()
+                    .flatten()
+                    .map(|&(i, v)| (i, v.to_bits()))
+                    .unzip()
+            };
+            let (l_row, l_val) = flat(&lu.l_cols);
+            let (u_pos, u_val) = flat(&lu.u_cols);
+            Factors {
+                l_ptr: ptr(&lu.l_cols),
+                l_row,
+                l_val,
+                u_ptr: ptr(&lu.u_cols),
+                u_pos,
+                u_val,
+                diag: bits(&lu.diag),
+                pivrow: lu.pivrow.clone(),
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The flat kernel gives the heap oracle's bits: the same singular
-        /// rejections and bit-identical FTRAN and BTRAN results, on
-        /// matrices large enough for the worklist to span several words.
+        /// rejections, bit-identical factor arrays and bit-identical FTRAN
+        /// and BTRAN results. Simplex-shaped bases span several worklist
+        /// words; extraction-shaped ones, up to 500 rows, send most unit
+        /// columns down the scan path.
         #[test]
-        fn flat_kernel_matches_the_heap_oracle(m in 1usize..200, seed in 0u64..u64::MAX) {
-            let cols = random_basis(m, seed);
+        fn flat_kernel_matches_the_heap_oracle(
+            m in 1usize..500,
+            seed in 0u64..u64::MAX,
+            extraction in proptest::bool::ANY,
+        ) {
+            let cols = if extraction {
+                extraction_basis(m, seed)
+            } else {
+                random_basis(m.min(200), seed)
+            };
+            let m = cols.len();
             let flat = factor_cols(&cols);
             let heap = HeapLu::factorize(m, |k, out| out.extend_from_slice(&cols[k]), 1e-11);
             prop_assert_eq!(flat.is_some(), heap.is_some());
             if let (Some(flat), Some(heap)) = (flat, heap) {
+                prop_assert_eq!(Factors::of_flat(&flat), Factors::of_heap(&heap));
                 let b: Vec<f64> = (0..m).map(|i| (i % 7) as f64 - 2.5).collect();
                 prop_assert_eq!(bits(&flat.solve(&b)), bits(&heap.solve(&b)));
                 prop_assert_eq!(
                     bits(&flat.solve_transpose(&b)),
                     bits(&heap.solve_transpose(&b))
                 );
+            }
+        }
+    }
+
+    /// A pivot an exact `δ` away from zero on the scan path: a column of
+    /// ones first, unit columns on the rows it and its successors pivot
+    /// (each one dense), and last the ones column plus `δ` on the final
+    /// row. The elimination is exact, so the last pivot is `δ`: singular
+    /// for `δ = 2⁻³⁷ < 1e-11`, nonsingular for `δ = 2⁻³⁶ > 1e-11`, in both
+    /// kernels, with the same factors.
+    #[test]
+    fn near_tolerance_pivot_on_the_scan_path() {
+        let m = 100;
+        for (delta, singular) in [(2f64.powi(-37), true), (2f64.powi(-36), false)] {
+            let ones: Vec<(u32, f64)> = (0..m as u32).map(|r| (r, 1.0)).collect();
+            let mut last = ones.clone();
+            last[m - 1].1 += delta;
+            let cols: Vec<Vec<(u32, f64)>> = std::iter::once(ones)
+                .chain((0..m as u32 - 2).map(|r| vec![(r, 1.0)]))
+                .chain([last])
+                .collect();
+            let flat = factor_cols(&cols);
+            let heap = HeapLu::factorize(m, |k, out| out.extend_from_slice(&cols[k]), 1e-11);
+            assert_eq!(flat.is_none(), singular, "δ = {delta:e}");
+            assert_eq!(heap.is_none(), singular, "δ = {delta:e}");
+            if let (Some(flat), Some(heap)) = (flat, heap) {
+                assert_eq!(flat.diag[m - 1], delta);
+                assert_eq!(Factors::of_flat(&flat), Factors::of_heap(&heap));
             }
         }
     }
