@@ -10,10 +10,9 @@
 //! never materialize as rows. A presolve ([`presolve`]) first sets aside the
 //! rows that cannot bind (`≤` rows that hold for every `x ≥ 0`, `=` rows
 //! that only fix one column), so the simplex runs on the rest while the
-//! answer is still extracted on the full system. The original dense
-//! tableau survives, unreduced, as an independent audit oracle
-//! ([`Problem::solve_dense`], checked automatically under
-//! `--features audit`).
+//! answer is still extracted on the full system. Under `--features audit`
+//! every answer is checked by its optimality certificate and re-solved
+//! without the presolve, which must give the same bits.
 //!
 //! The solver supports:
 //!
@@ -26,7 +25,7 @@
 //!   degenerate placement instances cannot loop forever,
 //! - canonical extraction: a face cleanup plus a refinement from the
 //!   original data make the reported values a function of the problem, not
-//!   of the pivot path, so the sparse solver and the dense oracle return
+//!   of the pivot path, so the presolved and the unreduced solve return
 //!   bit-identical answers.
 //!
 //! # Examples
@@ -59,7 +58,6 @@ mod norm;
 mod presolve;
 mod problem;
 mod revised;
-mod simplex;
 mod sparsela;
 mod types;
 

@@ -1,17 +1,17 @@
-//! Shared problem normalization, internal column layout, and canonical
-//! solution refinement.
+//! Problem normalization, internal column layout, and canonical solution
+//! refinement.
 //!
-//! Both solver backends — the sparse revised simplex ([`crate::revised`])
-//! and the retained dense tableau oracle ([`crate::simplex`]) — run over
-//! the *same* normalized system built here, use the *same*
-//! `[structural | slack | artificial]` column layout, and extract their
-//! final answers through the *same* canonical refinement. The refinement
-//! re-derives values and duals from the original normalized data by
-//! deterministic sparse LU solves (`B x_B = b'`, `Bᵀ y = c_B`), erasing the
-//! floating-point history of whichever pivot sequence found the optimal
-//! vertex. Two backends that reach the same vertex therefore return
-//! bit-identical values and objective, which is what the `audit` feature's
-//! sparse-vs-dense oracle checks.
+//! The revised simplex ([`crate::revised`]) pivots on the normalized system
+//! built here, or on the presolved part of it ([`crate::presolve`]), in the
+//! `[structural | slack | artificial]` column layout, and extracts its
+//! answer on the full system through the canonical refinement. The
+//! refinement re-derives values and duals from the original normalized data
+//! by deterministic sparse LU solves (`B x_B = b'`, `Bᵀ y = c_B`), erasing
+//! the floating-point history of whichever pivot sequence found the optimal
+//! vertex. Two pivot paths that reach the same vertex therefore return
+//! bit-identical values and objective, which is what the `audit` feature
+//! checks between the presolved and the unreduced solve
+//! (`problem::certify::audit`).
 //!
 //! The matrix is one CSC over every internal column, the unit columns
 //! included, so the solver prices and FTRANs a column by reading flat
@@ -27,8 +27,8 @@ use crate::problem::{Constraint, Relation};
 use crate::sparsela::SparseLu;
 use crate::types::SUPPORT_EPS;
 
-/// Pivot threshold for refinement LU factorizations (matches the dense
-/// solver's historical `lu_solve` threshold).
+/// Pivot threshold for refinement LU factorizations, the same as the
+/// solver's own refactorizations.
 const LU_TOL: f64 = 1e-11;
 
 /// One normalized constraint row in sparse form: non-negative RHS, unit
@@ -43,8 +43,7 @@ pub(crate) struct Row {
     pub flipped: bool,
 }
 
-/// The normalized system plus the full internal column layout, shared by
-/// both solver backends.
+/// The normalized system plus the full internal column layout.
 pub(crate) struct NormSystem {
     pub rows: Vec<Row>,
     pub num_vars: usize,
@@ -60,10 +59,10 @@ pub(crate) struct NormSystem {
     pub art_start: usize,
     /// Total internal columns (structural + slack + artificial).
     pub total_cols: usize,
-    /// For each constraint: the auxiliary column whose final reduced cost
-    /// yields its dual, and the sign relating that reduced cost to y.
+    /// For each constraint: the unit column whose reduced cost prices its
+    /// dual, the slack or surplus of an inequality and the artificial of an
+    /// equality.
     pub dual_col: Vec<usize>,
-    pub dual_sign: Vec<f64>,
     /// Initial basic column of each row (slack for `≤`, artificial
     /// otherwise).
     pub init_basis: Vec<usize>,
@@ -71,8 +70,7 @@ pub(crate) struct NormSystem {
 
 impl NormSystem {
     /// Normalizes `constraints` (sparse accumulation, negative-RHS flip,
-    /// unit max-magnitude rescale — arithmetic identical to the historical
-    /// dense densify-and-rescale) and assembles the column layout.
+    /// unit max-magnitude rescale) and assembles the column layout.
     pub fn build(num_vars: usize, constraints: &[Constraint]) -> Self {
         let mut rows: Vec<Row> = Vec::with_capacity(constraints.len());
         let mut acc: Vec<(u32, f64)> = Vec::new();
@@ -131,8 +129,7 @@ impl NormSystem {
     pub fn from_rows(num_vars: usize, rows: Vec<Row>) -> Self {
         let m = rows.len();
         // Column layout: structural, then one slack/surplus per inequality
-        // in row order, then one artificial per `≥`/`=` row in row order —
-        // identical to the historical dense tableau layout.
+        // in row order, then one artificial per `≥`/`=` row in row order.
         let num_slack = rows
             .iter()
             .filter(|r| !matches!(r.rel, Relation::Eq))
@@ -174,7 +171,6 @@ impl NormSystem {
         };
 
         let mut dual_col = vec![0usize; m];
-        let mut dual_sign = vec![0.0f64; m];
         let mut init_basis = vec![0usize; m];
         let mut next_slack = num_vars;
         let mut next_art = art_start;
@@ -182,16 +178,12 @@ impl NormSystem {
             match row.rel {
                 Relation::Le => {
                     init_basis[r] = next_slack;
-                    // Reduced cost of a +1 slack is -y.
                     dual_col[r] = next_slack;
-                    dual_sign[r] = -1.0;
                     unit(next_slack, r, 1.0);
                     next_slack += 1;
                 }
                 Relation::Ge => {
-                    // Reduced cost of a -1 surplus is +y.
                     dual_col[r] = next_slack;
-                    dual_sign[r] = 1.0;
                     unit(next_slack, r, -1.0);
                     next_slack += 1;
                     init_basis[r] = next_art;
@@ -200,10 +192,7 @@ impl NormSystem {
                 }
                 Relation::Eq => {
                     init_basis[r] = next_art;
-                    // Equalities have no slack; the +1 artificial's phase-2
-                    // reduced cost is -y (its own cost is zero).
                     dual_col[r] = next_art;
-                    dual_sign[r] = -1.0;
                     unit(next_art, r, 1.0);
                     next_art += 1;
                 }
@@ -219,7 +208,6 @@ impl NormSystem {
             art_start,
             total_cols,
             dual_col,
-            dual_sign,
             init_basis,
         }
     }
@@ -348,31 +336,10 @@ pub(crate) fn user_duals(sys: &NormSystem, y: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Whether `values` satisfies every normalized row to within
-/// `1e-6 · (1 + Σ|a_j x_j|)`, a tolerance relative to the row's activity.
-/// NaN anywhere fails the check.
-pub(crate) fn rows_satisfied(sys: &NormSystem, values: &[f64]) -> bool {
-    sys.rows.iter().all(|row| {
-        let (lhs, activity) = row
-            .terms
-            .iter()
-            .fold((0.0f64, 0.0f64), |(lhs, act), &(j, a)| {
-                let t = a * values[j as usize];
-                (lhs + t, act + t.abs())
-            });
-        let tol = 1e-6 * (1.0 + activity);
-        match row.rel {
-            Relation::Le => lhs - row.rhs <= tol,
-            Relation::Ge => row.rhs - lhs <= tol,
-            Relation::Eq => (lhs - row.rhs).abs() <= tol,
-        }
-    })
-}
-
 /// Canonical refinement: re-derives solution values and duals for a known
 /// terminal basis directly from the normalized constraint data. At a
 /// primal-degenerate optimal vertex several bases represent the same point,
-/// and two pivot paths (the sparse solver's and the dense oracle's) can
+/// and two pivot paths (the presolved solve's and the unreduced one's) can
 /// legitimately terminate at different ones; refining from different basis
 /// matrices then disagrees in the last ulps. To make the reported *values* a
 /// function of the vertex rather than of the pivot path, the terminal basis
@@ -389,7 +356,8 @@ pub(crate) fn rows_satisfied(sys: &NormSystem, values: &[f64]) -> bool {
 /// dual-feasible. They are refined from the terminal basis instead, which
 /// keeps them valid shadow prices; at a dual-degenerate optimum two pivot
 /// paths may then report different (equally valid) dual vectors, which is
-/// why the audit oracle compares values and objectives, not duals.
+/// why the audit compares values and objectives across paths, and checks
+/// each answer's duals by its certificate (`problem::certify`).
 pub(crate) fn refine_canonical(
     sys: &NormSystem,
     objective: &[f64],

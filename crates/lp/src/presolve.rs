@@ -83,6 +83,23 @@ impl Presolve {
             }
         }
 
+        Self::reduce(full, upper, never_binds, fixed)
+    }
+
+    /// The presolve that keeps every row: the simplex pivots on the full
+    /// system itself.
+    #[cfg(any(test, feature = "audit"))]
+    pub fn keep_all(full: &NormSystem, upper: &[f64]) -> Self {
+        Self::reduce(full, upper, vec![false; full.m()], Vec::new())
+    }
+
+    /// Drops the `never_binds` rows and the `fixed` rows with their columns.
+    fn reduce(
+        full: &NormSystem,
+        upper: &[f64],
+        never_binds: Vec<bool>,
+        fixed: Vec<(usize, usize, f64)>,
+    ) -> Self {
         let mut removed = never_binds.clone();
         let mut red_upper = upper.to_vec();
         for &(r, j, _) in &fixed {

@@ -1,8 +1,12 @@
 //! Problem-construction API: variables, objective, constraints, bounds.
 
+use crate::norm::NormSystem;
+use crate::presolve::Presolve;
 use crate::revised::solve_sparse;
-use crate::simplex::solve_dense;
 use crate::types::{LpError, Solution};
+
+#[cfg(any(test, feature = "audit"))]
+pub(crate) mod certify;
 
 /// Direction of the objective function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,146 +169,63 @@ impl Problem {
     /// without limit, and [`LpError::SingularBasis`] when a refactorization
     /// meets a numerically singular basis (no basis repair is attempted).
     pub fn solve(&self) -> Result<Solution, LpError> {
-        // Normalize to a minimization problem; flip the objective back at the
-        // end for maximization.
-        let (objective, flip) = self.min_objective();
-        let result = solve_sparse(self.num_vars, &objective, &self.constraints, &self.upper);
+        let result = self.solve_with(Presolve::new);
         #[cfg(feature = "audit")]
-        self.audit_against_dense(&objective, &result);
-        let mut sol = result?;
+        self.audit(&result);
+        result
+    }
+
+    /// Solves with every row kept: the path a presolved answer must match
+    /// bit for bit ([`certify::audit`]).
+    #[cfg(any(test, feature = "audit"))]
+    pub(crate) fn solve_unreduced(&self) -> Result<Solution, LpError> {
+        self.solve_with(Presolve::keep_all)
+    }
+
+    /// Runs the sparse simplex on the minimization-sense objective, with
+    /// `presolve` choosing the rows it pivots on, and flips a maximization's
+    /// answer back.
+    fn solve_with(
+        &self,
+        presolve: fn(&NormSystem, &[f64]) -> Presolve,
+    ) -> Result<Solution, LpError> {
+        let flip = matches!(self.sense, Sense::Max);
+        let objective: Vec<f64> = if flip {
+            self.objective.iter().map(|c| -c).collect()
+        } else {
+            self.objective.clone()
+        };
+        let mut sol = solve_sparse(
+            self.num_vars,
+            &objective,
+            &self.constraints,
+            &self.upper,
+            presolve,
+        )?;
         if flip {
             flip_sense(&mut sol);
         }
         Ok(sol)
     }
 
-    /// Solves through the retained dense tableau oracle instead of the
-    /// sparse revised simplex. For problems whose bounds are all `0`/`+∞`
-    /// the result is bit-identical to [`Problem::solve`] (same normalized
-    /// system, same canonical vertex, same refinement); positive finite
-    /// bounds are materialized as explicit rows here and are only
-    /// tolerance-comparable. Intended for audits, tests and benchmarks —
-    /// the dense tableau is O(m·n) *per pivot*.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Problem::solve`].
-    pub fn solve_dense(&self) -> Result<Solution, LpError> {
-        let (objective, flip) = self.min_objective();
-        let mut result = solve_dense(self.num_vars, &objective, &self.constraints, &self.upper);
-        if flip {
-            if let Ok(sol) = &mut result {
-                flip_sense(sol);
-            }
-        }
-        result
-    }
-
-    /// Minimization-sense objective plus whether the result must flip back.
-    fn min_objective(&self) -> (Vec<f64>, bool) {
-        let flip = matches!(self.sense, Sense::Max);
-        let objective = if flip {
-            self.objective.iter().map(|c| -c).collect()
-        } else {
-            self.objective.clone()
-        };
-        (objective, flip)
-    }
-
-    /// Prints the full problem to stderr so an audit mismatch in a long
-    /// scheduler run can be replayed as a standalone LP instance.
-    #[cfg(feature = "audit")]
-    fn dump_for_repro(&self) {
-        eprintln!(
-            "lp audit repro: NUM_VARS {}\nSENSE {:?}\nOBJ {:?}\nUPPER {:?}",
-            self.num_vars, self.sense, self.objective, self.upper
-        );
-        for c in &self.constraints {
-            eprintln!("CON {:?} {:?} rhs={:?}", c.relation, c.terms, c.rhs);
-        }
-    }
-
-    /// Audit-mode oracle: re-solves (size-gated) instances through the dense
-    /// tableau and asserts agreement with the sparse result — bit-exact
-    /// values and objective when the bound pattern is pure `0`/`+∞` (the
-    /// only kind the schedulers emit), objective-tolerance otherwise
-    /// (finite bounds materialize as rows in the dense system, which indexes
-    /// columns differently and may canonicalize a different vertex of the
-    /// same optimum).
+    /// Audit mode: certifies the answer and re-solves without the presolve
+    /// ([`certify::audit`]); on a fault, dumps the problem so the
+    /// instance can be replayed as a standalone LP, and stops the run.
     #[cfg(feature = "audit")]
     #[allow(
         clippy::panic,
-        reason = "the audit stops the run on a sparse/dense disagreement"
+        reason = "the audit stops the run on an answer it cannot certify"
     )]
-    fn audit_against_dense(&self, objective: &[f64], sparse: &Result<Solution, LpError>) {
-        // The dense tableau is O(m·n) per pivot, and it never refactors, so
-        // elimination error grows with the instance: on a 492-row ×
-        // 1551-column map LP from a 120-site stream
-        // (`ScalePreset::new(120, 83)`) it drifted to objective 40531 at a
-        // point violating rows by 1.5e18, where the sparse answer, 591.65,
-        // is feasible to 2e-12. Its row check reports such a drift as
-        // `IterationLimit`, which fails the audit on the oracle's fault, so
-        // instances past this size are not audited. The drift can happen
-        // below the gate too (a 212-row × 641-column 50-site map LP of
-        // fig8); the audit then stops with that error and the instance.
-        if self.constraints.len() > 400 || self.num_vars > 1600 {
-            return;
-        }
-        let dense = solve_dense(self.num_vars, objective, &self.constraints, &self.upper);
-        match (sparse, &dense) {
-            (Err(se), Err(de)) => {
-                if se != de {
-                    self.dump_for_repro();
-                }
-                assert_eq!(
-                    se, de,
-                    "lp audit: sparse and dense solver disagree on the error kind"
-                );
+    fn audit(&self, result: &Result<Solution, LpError>) {
+        if let Err(fault) = certify::audit(self, result) {
+            eprintln!(
+                "lp audit repro: NUM_VARS {}\nSENSE {:?}\nOBJ {:?}\nUPPER {:?}",
+                self.num_vars, self.sense, self.objective, self.upper
+            );
+            for c in &self.constraints {
+                eprintln!("CON {:?} {:?} rhs={:?}", c.relation, c.terms, c.rhs);
             }
-            (Ok(_), Err(de)) => {
-                self.dump_for_repro();
-                panic!("lp audit: dense oracle failed with {de} where sparse solved")
-            }
-            (Err(se), Ok(_)) => {
-                self.dump_for_repro();
-                panic!("lp audit: sparse solver failed with {se} where dense solved")
-            }
-            (Ok(s), Ok(d)) => {
-                let pure_bounds = self.upper.iter().all(|&u| u.is_infinite() || u == 0.0);
-                if pure_bounds {
-                    if s.objective.to_bits() != d.objective.to_bits() {
-                        self.dump_for_repro();
-                    }
-                    assert_eq!(
-                        s.objective.to_bits(),
-                        d.objective.to_bits(),
-                        "lp audit: objective mismatch (sparse {} vs dense {})",
-                        s.objective,
-                        d.objective
-                    );
-                    for (j, (sv, dv)) in s.values.iter().zip(&d.values).enumerate() {
-                        if sv.to_bits() != dv.to_bits() {
-                            self.dump_for_repro();
-                        }
-                        assert_eq!(
-                            sv.to_bits(),
-                            dv.to_bits(),
-                            "lp audit: value mismatch at var {j} (sparse {sv} vs dense {dv})"
-                        );
-                    }
-                } else {
-                    let scale = 1.0 + s.objective.abs().max(d.objective.abs());
-                    let close = (s.objective - d.objective).abs() / scale < 1e-6;
-                    if !close {
-                        self.dump_for_repro();
-                    }
-                    assert!(
-                        close,
-                        "lp audit: objective mismatch beyond tolerance (sparse {} vs dense {})",
-                        s.objective, d.objective
-                    );
-                }
-            }
+            panic!("lp audit: {fault}");
         }
     }
 }

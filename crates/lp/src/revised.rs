@@ -1,4 +1,4 @@
-//! Sparse bounded-variable revised simplex — the default solver backend.
+//! Sparse bounded-variable revised simplex.
 //!
 //! Works on a [`NormSystem`] (CSC-stored normalized constraints,
 //! `[structural | slack | artificial]` column layout) and never materializes
@@ -27,18 +27,17 @@
 //! Each phase prices only the columns it may enter, listed once per phase.
 //!
 //! Entering selection is Dantzig's rule for a warm-up period, then Bland's
-//! rule. The canonical face cleanup afterwards minimizes the shared
+//! rule. The canonical face cleanup afterwards minimizes the
 //! `sqrt(j + 2)` secondary objective (the full system's weights, written in
-//! reduced columns) over the primary-optimal face, so this backend and the
-//! dense oracle finish at the same vertex and the shared refinement in
+//! reduced columns) over the primary-optimal face; the irrational weights
+//! make its minimizer unique, so a presolved and an unreduced solve finish
+//! at the same vertex by different pivot paths, and the refinement in
 //! [`crate::norm`] returns the same bits. The cleanup is
 //! priced like phase 2: the face set is fixed once from one BTRAN of the
 //! primary cost on entry (entering a column with primary reduced cost ≈ 0
 //! leaves the primary multipliers unchanged), each pivot costs one BTRAN of
 //! the secondary cost and prices only the face set, and entering uses the
-//! same Dantzig-then-Bland loop as phase 1 and phase 2. The dense oracle
-//! keeps Bland's rule for its cleanup; the irrational weights make the face
-//! minimizer unique, so the two pivot paths still meet at one vertex.
+//! same Dantzig-then-Bland loop as phase 1 and phase 2.
 
 use crate::norm::{bounded_rhs, refine_canonical, refine_from_basis, user_duals, NormSystem};
 use crate::presolve::Presolve;
@@ -342,9 +341,8 @@ impl<'a> Rev<'a> {
 
     /// Minimizes the secondary objective `sec` (the full system's
     /// `sqrt(j + 2)` weights written in this system's columns, see
-    /// [`crate::presolve`]) over the current primary-optimal face — same
-    /// semantics as the dense oracle's face cleanup, so both backends leave
-    /// at the same canonical vertex.
+    /// [`crate::presolve`]) over the current primary-optimal face, so every
+    /// pivot path leaves at the same canonical vertex.
     ///
     /// Every column that enters has primary reduced cost ≈ 0, so the primary
     /// multipliers, and with them the face, do not change while it runs: the
@@ -508,17 +506,18 @@ impl<'a> Rev<'a> {
     }
 }
 
-/// Solves `min c^T x` s.t. `constraints`, `0 ≤ x ≤ upper`. The cost
-/// vector must already be in minimization sense. This is the default
-/// backend behind [`crate::Problem::solve`].
+/// Solves `min c^T x` s.t. `constraints`, `0 ≤ x ≤ upper` on the rows
+/// `presolve` keeps ([`Presolve::new`] behind [`crate::Problem::solve`]).
+/// The cost vector must already be in minimization sense.
 pub(crate) fn solve_sparse(
     num_vars: usize,
     objective: &[f64],
     constraints: &[Constraint],
     upper: &[f64],
+    presolve: fn(&NormSystem, &[f64]) -> Presolve,
 ) -> Result<Solution, LpError> {
     let full = NormSystem::build(num_vars, constraints);
-    let pre = Presolve::new(&full, upper);
+    let pre = presolve(&full, upper);
     let sys = &pre.sys;
     let mut rev = Rev::new(sys, &pre.upper)?;
 

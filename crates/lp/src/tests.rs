@@ -1,6 +1,6 @@
 //! Unit and property tests for the simplex solver.
 
-use crate::norm::{rows_satisfied, NormSystem};
+use crate::norm::NormSystem;
 use crate::presolve::Presolve;
 use crate::revised::REFACTOR_EVERY;
 use crate::{LpError, Problem, Relation};
@@ -381,35 +381,13 @@ fn brute_force_min(
     }
 }
 
-/// Solves `p` with both backends and asserts they agree: the same error
-/// kind, or bit-identical objective and values.
+/// Certifies `p`'s answer, then requires the presolved and the unreduced
+/// solve to agree: the same error kind, or bit-identical objective and
+/// values (what `Problem::solve` checks on every solve under
+/// `--features audit`).
 #[cfg(not(miri))]
 fn solve_both(p: &Problem) -> Result<(), TestCaseError> {
-    match (p.solve(), p.solve_dense()) {
-        (Ok(s), Ok(d)) => {
-            assert_eq!(
-                s.objective.to_bits(),
-                d.objective.to_bits(),
-                "objective: sparse {} vs dense {}",
-                s.objective,
-                d.objective
-            );
-            for (i, (sv, dv)) in s.values.iter().zip(&d.values).enumerate() {
-                assert_eq!(
-                    sv.to_bits(),
-                    dv.to_bits(),
-                    "value {i}: sparse {sv} vs dense {dv}"
-                );
-            }
-        }
-        (Err(se), Err(de)) => assert_eq!(se, de),
-        (s, d) => {
-            return Err(TestCaseError::fail(format!(
-                "outcome mismatch: sparse {s:?} vs dense {d:?}"
-            )));
-        }
-    }
-    Ok(())
+    crate::problem::certify::audit(p, &p.solve()).map_err(TestCaseError::fail)
 }
 
 // The 256-case property sweep is far too slow under Miri's interpreter
@@ -536,12 +514,12 @@ proptest! {
 
     /// On random LPs spanning every outcome class — feasible, infeasible,
     /// unbounded, and (via duplicated rows and zero right-hand sides)
-    /// degenerate — the sparse revised simplex agrees with the retained
-    /// dense tableau: same error kind, and on success the canonical
+    /// degenerate — every answer certifies, and the presolved solve agrees
+    /// with the unreduced one: same error kind, and on success the canonical
     /// solutions are bit-identical (the `--features audit` contract,
     /// exercised here without the feature flag).
     #[test]
-    fn sparse_and_dense_agree_on_random_lps(
+    fn presolved_and_unreduced_agree_on_random_lps(
         num_vars in 2usize..5,
         seed_cons in proptest::collection::vec(
             (proptest::collection::vec(-3i32..4, 4), 0u8..3, -6i32..15),
@@ -586,7 +564,7 @@ proptest! {
     /// Transport LPs (3–8 sources × 3–8 destinations) with costs drawn from
     /// `{1, 2}` have large primary-optimal faces, so the canonical face
     /// cleanup does real work on them, and `ub = 0` pins make some routes
-    /// dead. Sparse and dense must agree bit for bit.
+    /// dead. The presolved and unreduced solves must agree bit for bit.
     #[test]
     fn flat_faces_canonicalize_identically(
         sources in 3usize..9,
@@ -622,11 +600,11 @@ proptest! {
     }
 
     /// Placement-shaped LPs (4–30 sources) on which both presolve
-    /// reductions fire: sparse and dense agree bit for bit, the sparse
-    /// answer carries one dual per input constraint, and every dropped
-    /// row's dual is exactly zero.
+    /// reductions fire: the presolved answer certifies and matches the
+    /// unreduced one bit for bit, carries one dual per input constraint,
+    /// and every dropped row's dual is exactly zero.
     #[test]
-    fn presolved_placement_lps_match_the_dense_oracle(
+    fn presolved_placement_lps_match_the_unreduced_solve(
         n in 4usize..31,
         dests in 1usize..5,
         data in proptest::collection::vec(0u8..14, 30),
@@ -670,21 +648,21 @@ fn presolve_drops_every_row_at_an_optimum() {
     assert_eq!(sol.objective, 0.0);
     assert_eq!(sol.values, vec![0.0, 0.0]);
     assert_eq!(sol.duals, vec![0.0, 0.0]);
-    let dense = p.solve_dense().unwrap();
-    assert_eq!(dense.objective, 0.0);
-    assert_eq!(dense.values, vec![0.0, 0.0]);
+    let unreduced = p.solve_unreduced().unwrap();
+    assert_eq!(unreduced.objective, 0.0);
+    assert_eq!(unreduced.values, vec![0.0, 0.0]);
 }
 
 #[test]
 fn presolve_drops_every_row_and_reports_unbounded() {
     // A negative cost on a column no row can stop: unbounded, like the
-    // unreduced dense oracle says.
+    // unreduced solve says.
     let mut p = Problem::minimize(2);
     p.set_objective(&[(0, -1.0), (1, 1.0)]);
     p.add_constraint(&[(1, -3.0)], Relation::Le, 0.0);
     p.add_constraint(&[(0, -1.0), (1, -2.0)], Relation::Le, 0.0);
     assert_eq!(p.solve().unwrap_err(), LpError::Unbounded);
-    assert_eq!(p.solve_dense().unwrap_err(), LpError::Unbounded);
+    assert_eq!(p.solve_unreduced().unwrap_err(), LpError::Unbounded);
 }
 
 #[test]
@@ -700,34 +678,15 @@ fn fixing_row_beyond_the_bound_is_left_to_the_simplex() {
     let full = NormSystem::build(2, p.constraints());
     assert_eq!(Presolve::new(&full, &upper).sys.m(), 1);
     assert_eq!(p.solve().unwrap_err(), LpError::Infeasible);
-    assert_eq!(p.solve_dense().unwrap_err(), LpError::Infeasible);
-}
-
-#[test]
-fn dense_feasibility_check_rejects_violated_rows() {
-    // x + y ≤ 4, x − y = 1, x ≥ 2.
-    let mut p = Problem::minimize(2);
-    p.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Le, 4.0);
-    p.add_constraint(&[(0, 1.0), (1, -1.0)], Relation::Eq, 1.0);
-    p.add_constraint(&[(0, 1.0)], Relation::Ge, 2.0);
-    let sys = NormSystem::build(2, p.constraints());
-    assert!(rows_satisfied(&sys, &[2.0, 1.0]));
-    assert!(rows_satisfied(&sys, &[2.5, 1.5]));
-    // Within the activity-relative tolerance.
-    assert!(rows_satisfied(&sys, &[2.0 + 1e-9, 1.0]));
-    assert!(!rows_satisfied(&sys, &[3.0, 2.0])); // ≤ row
-    assert!(!rows_satisfied(&sys, &[2.0, 0.5])); // = row
-    assert!(!rows_satisfied(&sys, &[1.0, 0.0])); // ≥ row
-    assert!(!rows_satisfied(&sys, &[f64::NAN, 1.0]));
-    assert!(!rows_satisfied(&sys, &[1.5e18, -1.5e18]));
+    assert_eq!(p.solve_unreduced().unwrap_err(), LpError::Infeasible);
 }
 
 /// A placement LP large enough that the sparse solve crosses several
 /// refactorizations (the eta file holds at most `REFACTOR_EVERY` etas),
-/// and it still matches the dense oracle bit for bit.
+/// and it still certifies and matches the unreduced solve bit for bit.
 #[test]
 #[cfg(not(miri))]
-fn placement_lp_across_refactorizations_matches_the_dense_oracle() {
+fn placement_lp_across_refactorizations_matches_the_unreduced_solve() {
     let n = 30;
     let data: Vec<u8> = (0..n).map(|x| (x * 7 % 11) as u8).collect();
     let tasks: Vec<u8> = (0..n).map(|x| (x * 5 % 9) as u8).collect();

@@ -1,6 +1,4 @@
-//! Shared solver types: errors, solutions and tolerances. Used by both the
-//! sparse revised simplex ([`crate::revised`], the default path) and the
-//! retained dense tableau solver ([`crate::simplex`], the audit oracle).
+//! Solver types: errors, solutions and tolerances.
 
 /// Absolute tolerance used for all feasibility and pivoting comparisons.
 ///
@@ -11,8 +9,9 @@ pub(crate) const EPS: f64 = 1e-9;
 /// Tolerance for membership of the primary-optimal face during the
 /// canonical-path secondary cleanup: a column may enter only while its
 /// primary reduced cost is within this of zero. Looser than [`EPS`] so that
-/// float noise in the priced cost row cannot make two pivot paths disagree
-/// about which columns lie on the face.
+/// float noise in the priced cost row cannot make two pivot paths (the
+/// presolved and the unreduced solve) disagree about which columns lie on
+/// the face.
 pub(crate) const FACE_EPS: f64 = 1e-7;
 
 /// Threshold below which a vertex coordinate does not count toward the

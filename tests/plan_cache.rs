@@ -1,8 +1,8 @@
 //! Cross-crate behavior of the template plan cache (DESIGN.md §11):
 //! Exact mode must be invisible in simulation output, Full mode must hit
 //! and still complete every job, and — under `--features audit` — every
-//! solve the cache does not answer is re-checked bit-for-bit against the
-//! LP's dense oracle.
+//! solve the cache does not answer is certified and re-checked bit for bit
+//! against the LP's unreduced solve.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,13 +114,14 @@ fn full_mode_hits_and_completes() {
     );
 }
 
-/// With the `audit` feature, every LP solve of this size is re-solved through
-/// the dense tableau oracle and must agree bit for bit. Heavy diurnal drift
-/// moves the bucket between instances, so cold solves (misses) carry much of
-/// the load; the run completing means every oracle check passed.
+/// With the `audit` feature, every LP answer must pass its optimality
+/// certificate, and a re-solve without the presolve must agree bit for bit.
+/// Heavy diurnal drift moves the bucket between instances, so cold solves
+/// (misses) carry much of the load; the run completing means every check
+/// passed.
 #[cfg(feature = "audit")]
 #[test]
-fn audit_checks_drifting_full_mode_solves_against_the_dense_oracle() {
+fn audit_certifies_drifting_full_mode_solves() {
     let report = run_stream(PlanCacheMode::Full, 0.23, 12);
     let obs = report.obs.as_ref().unwrap();
     let miss: usize = obs.planner.iter().map(|p| p.tmpl_miss).sum();
