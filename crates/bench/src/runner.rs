@@ -121,29 +121,34 @@ pub fn run_cells_with<T: Send>(threads: usize, cells: Vec<(Cell, CellFn<'_, T>)>
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    let joined = crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let f = work[i]
-                    .lock()
-                    .expect("cell mutex poisoned")
-                    .take()
-                    .expect("cell claimed twice");
-                let out = f();
-                if trace_cells() {
-                    eprintln!("[runner] done {}", descs[i]);
-                }
-                *slots[i].lock().expect("slot mutex poisoned") = Some(out);
-            });
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let f = work[i]
+                        .lock()
+                        .expect("cell mutex poisoned")
+                        .take()
+                        .expect("cell claimed twice");
+                    let out = f();
+                    if trace_cells() {
+                        eprintln!("[runner] done {}", descs[i]);
+                    }
+                    *slots[i].lock().expect("slot mutex poisoned") = Some(out);
+                })
+            })
+            .collect();
+        // Re-raise the first worker panic with its own payload, so the
+        // caller sees the failing cell's message. The scope joins any
+        // worker left unjoined before the panic leaves it.
+        if let Some(payload) = workers.into_iter().find_map(|w| w.join().err()) {
+            std::panic::resume_unwind(payload);
         }
     });
-    if let Err(payload) = joined {
-        std::panic::resume_unwind(payload);
-    }
 
     slots
         .into_iter()
@@ -204,6 +209,7 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_cells_with(2, cells);
         }));
-        assert!(r.is_err());
+        let payload = r.expect_err("the cell's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"cell failed"));
     }
 }

@@ -4,10 +4,10 @@
 //! variants) are linear programs — on the order of `sites × dest_limit`
 //! variables per stage. The original system calls out to Gurobi; this crate
 //! is the from-scratch substitute. The default backend is a **sparse
-//! revised simplex** ([`revised`]): CSC-stored constraints, an LU +
+//! revised simplex** (module `revised`): CSC-stored constraints, an LU +
 //! product-form basis inverse with periodic refactorization, and native
 //! bounded-variable handling so box constraints (including `ub = 0` pins)
-//! never materialize as rows. A presolve ([`presolve`]) first sets aside the
+//! never materialize as rows. A presolve (module `presolve`) first sets aside the
 //! rows that cannot bind (`≤` rows that hold for every `x ≥ 0`, `=` rows
 //! that only fix one column), so the simplex runs on the rest while the
 //! answer is still extracted on the full system. Under `--features audit`

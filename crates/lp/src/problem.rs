@@ -159,7 +159,7 @@ impl Problem {
 
     /// Solves the problem, returning variable values and objective value.
     ///
-    /// Runs the sparse revised simplex ([`crate::revised`]) and extracts the
+    /// Runs the sparse revised simplex (module `revised`) and extracts the
     /// answer canonically — values and duals are re-derived from the optimal
     /// vertex by a deterministic refinement, so the reported bits are a
     /// function of the problem, not of the pivot path.

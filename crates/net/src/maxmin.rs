@@ -185,7 +185,7 @@ struct GroupRec {
 /// group id, and their total flow count) is updated on group birth, death
 /// and count change by [`Waterfiller::set_count`]. Each fill then records,
 /// in flat arrays:
-/// - the saturation order: one [`Step`] per saturated link, with its
+/// - the saturation order: one `Step` per saturated link, with its
 ///   `(key, link)` and level;
 /// - each group's freeze step (the groups in freeze order, too);
 /// - each link's ordered `(rem, act)` updates, chained backwards per link.

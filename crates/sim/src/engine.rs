@@ -1,12 +1,12 @@
 //! The discrete-event engine: event loop, task launching, dispatch.
 
-use crate::config::{BatchPolicy, EngineConfig, SpeculationConfig};
+use crate::config::{BatchPolicy, EngineConfig};
 use crate::event::{Event, EventQueue};
 use crate::report::{JobOutcome, RunReport, TaskTrace};
 use crate::sched::{
     JobSnapshot, Scheduler, SiteState, Snapshot, StageSnapshot, TaskPhase, TaskSnapshot,
 };
-use crate::state::{build_tasks, CopyRt, JobRt, StageRt, StageStatus, TaskState};
+use crate::state::{build_tasks, Attempt, JobRt, Phase, StageRt, StageStatus, TaskState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
@@ -63,28 +63,9 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// What a WAN flow feeds: an original task's fetch or a speculative copy's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlowOwner {
-    Task(usize, usize, usize),
-    Copy(usize, usize, usize, u64),
-}
-
-/// Timeline of the attempt (original or speculative copy) that completed a
-/// task, recorded into the trace by [`Engine::finish_task`].
-#[derive(Debug, Clone, Copy)]
-struct TaskCompletion {
-    /// Site the winning attempt ran at.
-    site: SiteId,
-    /// When the winning attempt occupied its slot.
-    launched_at: f64,
-    /// When the winning attempt began computing.
-    compute_started: f64,
-    /// The attempt's sampled compute seconds (feeds adaptive batching).
-    secs: f64,
-    /// Whether a speculative copy, rather than the original, won.
-    was_copy: bool,
-}
+/// The attempt a WAN flow feeds: its task `(job, stage, task)` and its copy
+/// id (`None` for the original).
+type AttemptKey = (usize, usize, usize, Option<u64>);
 
 /// The execution engine. Construct with a cluster, a workload and a
 /// scheduler; call [`Engine::run`] to simulate to completion.
@@ -102,8 +83,10 @@ pub struct Engine {
     /// Owner of each in-flight flow, indexed by `FlowKey::index()` (flow
     /// keys are dense slab indices, so a vector beats a hash map on the
     /// per-flow-event path).
-    flow_owner: Vec<Option<FlowOwner>>,
-    copies: BTreeMap<(usize, usize, usize), CopyRt>,
+    flow_owner: Vec<Option<AttemptKey>>,
+    /// Live speculative copies by task. A BTreeMap, so outage teardown
+    /// meets them in key order.
+    copies: BTreeMap<(usize, usize, usize), Attempt>,
     next_copy_id: u64,
     scheduler: Box<dyn Scheduler>,
     cfg: EngineConfig,
@@ -228,7 +211,7 @@ impl Engine {
     }
 
     /// Records `owner` for an in-flight flow.
-    fn set_flow_owner(&mut self, key: FlowKey, owner: FlowOwner) {
+    fn set_flow_owner(&mut self, key: FlowKey, owner: AttemptKey) {
         let i = key.index();
         if self.flow_owner.len() <= i {
             self.flow_owner.resize(i + 1, None);
@@ -237,7 +220,7 @@ impl Engine {
     }
 
     /// Removes and returns the owner of a flow, if any.
-    fn take_flow_owner(&mut self, key: FlowKey) -> Option<FlowOwner> {
+    fn take_flow_owner(&mut self, key: FlowKey) -> Option<AttemptKey> {
         self.flow_owner.get_mut(key.index()).and_then(Option::take)
     }
 
@@ -432,8 +415,7 @@ impl Engine {
                 self.activate_stages(i);
                 self.request_sched(true, Trigger::JobArrival);
             }
-            Event::ComputeDone(j, s, t) => self.on_compute_done(j, s, t),
-            Event::CopyComputeDone(j, s, t, id) => self.on_copy_compute_done(j, s, t, id),
+            Event::ComputeDone(j, s, t, copy) => self.on_compute_done(j, s, t, copy),
             Event::SchedulingPoint => {
                 let trigger = self.pending_trigger;
                 self.sched_pending = false;
@@ -483,8 +465,8 @@ impl Engine {
     }
 
     /// Fails every attempt running at `site` (a full outage): originals
-    /// re-enter the scheduling pool through the bounded retry path, and
-    /// speculative copies are torn down with their WAN refunds.
+    /// re-enter the scheduling pool through the bounded retry path, then the
+    /// speculative copies there are cancelled.
     fn fail_attempts_at(&mut self, site: SiteId) {
         for j in 0..self.jobs.len() {
             for s in 0..self.jobs[j].stages.len() {
@@ -492,67 +474,38 @@ impl Engine {
                     continue;
                 }
                 for t in 0..self.jobs[j].stages[s].tasks.len() {
-                    let task = &self.jobs[j].stages[s].tasks[t];
-                    let running_here = task.run_site == Some(site)
-                        && matches!(
-                            task.state,
-                            TaskState::Fetching { .. } | TaskState::Computing { .. }
-                        );
-                    if running_here {
+                    let state = &mut self.jobs[j].stages[s].tasks[t].state;
+                    if let Some(a) = state.take_running_if(|a| a.site == site) {
                         self.obs.dynamics_retry();
-                        self.fail_attempt(j, s, t, site);
+                        self.fail_attempt(j, s, t, a);
                     }
                 }
             }
         }
-        // Copies at the dead site are torn down too. `copies` is a BTreeMap,
-        // so iteration is already in key order and no compensating sort is
-        // needed before the order-dependent teardown effects.
-        let doomed: Vec<(usize, usize, usize)> = self
-            .copies
-            .iter()
-            .filter(|(_, c)| c.site == site)
-            .map(|(&k, _)| k)
-            .collect();
-        for (j, s, t) in doomed {
-            self.cancel_copy(j, s, t);
+        // `copies` is a BTreeMap, so the doomed copies come out in key order
+        // and no compensating sort is needed before the order-dependent
+        // teardown effects.
+        let (doomed, live): (BTreeMap<_, _>, _) = std::mem::take(&mut self.copies)
+            .into_iter()
+            .partition(|(_, a)| a.site == site);
+        self.copies = live;
+        for ((j, s, t), a) in doomed {
+            self.cancel(j, s, t, a);
         }
     }
 
-    /// Fails one original attempt of task `(j, s, t)` running at `site`:
-    /// refunds WAN charged for fetches that will never complete (the unsent
-    /// remainder of in-flight flows plus fetches still queued behind the
-    /// concurrency cap, both charged in full at launch), releases the slot,
-    /// and returns the task to the pool for re-placement. Arms
-    /// [`SimError::RetriesExhausted`] once the attempt budget is spent.
-    fn fail_attempt(&mut self, j: usize, s: usize, t: usize, site: SiteId) {
-        // Fetch teardown first: a computing attempt has none, so for the
-        // classic failure-injection path this is a no-op.
-        let (pending, queued) = match &mut self.jobs[j].stages[s].tasks[t].state {
-            TaskState::Fetching { pending, queued } => {
-                (std::mem::take(pending), std::mem::take(queued))
-            }
-            _ => (Vec::new(), Vec::new()),
-        };
-        for key in pending {
-            let unsent = self.flows.remove_flow(key);
-            self.take_flow_owner(key);
-            self.jobs[j].wan_gb -= unsent;
-        }
-        for (_, gb) in queued {
-            self.jobs[j].wan_gb -= gb;
-        }
-        self.vacate_slot(site);
+    /// Fails original attempt `a` of task `(j, s, t)`, already taken out of
+    /// the task: releases what it holds and leaves the task unlaunched for
+    /// re-placement. Arms [`SimError::RetriesExhausted`] once the attempt
+    /// budget is spent.
+    fn fail_attempt(&mut self, j: usize, s: usize, t: usize, a: Attempt) {
+        let site = a.site;
+        self.release(j, a);
         self.task_failures += 1;
         self.obs.task_failure();
         self.obs
             .task_event(self.now, j, s, t, false, TaskPhaseEvent::Failed, site);
         let task = &mut self.jobs[j].stages[s].tasks[t];
-        task.state = TaskState::Unlaunched;
-        task.run_site = None;
-        task.actual_secs = None;
-        task.compute_started = None;
-        task.launched_at = None;
         task.retries += 1;
         if task.retries > self.cfg.max_task_retries && self.fatal.is_none() {
             self.fatal = Some(SimError::RetriesExhausted {
@@ -590,150 +543,119 @@ impl Engine {
 
     fn on_flow_done(&mut self, key: FlowKey) {
         self.flows.remove_flow(key);
-        let Some(owner) = self.take_flow_owner(key) else {
+        // Tearing an attempt down removes its flows and their owners, so an
+        // owned flow always finds its attempt fetching.
+        let Some((j, s, t, copy)) = self.take_flow_owner(key) else {
             return;
         };
-        let (j, s, t) = match owner {
-            FlowOwner::Task(j, s, t) => (j, s, t),
-            FlowOwner::Copy(j, s, t, id) => {
-                self.on_copy_flow_done(j, s, t, id, key);
-                return;
-            }
+        let Some(mut a) = self.take_attempt(j, s, t, copy) else {
+            return;
         };
-        let (open_next, site) = {
-            let task = &mut self.jobs[j].stages[s].tasks[t];
-            #[expect(
-                clippy::unreachable,
-                reason = "a task's flows are torn down with their owners when it leaves Fetching"
-            )]
-            let TaskState::Fetching { pending, queued } = &mut task.state
-            else {
-                unreachable!("flow completion for a non-fetching task");
-            };
+        if let Phase::Fetching { pending, queued } = &mut a.phase {
             pending.retain(|k| *k != key);
-            #[expect(
-                clippy::expect_used,
-                reason = "launch sets run_site before a task can fetch"
-            )]
-            let site = task.run_site.expect("fetching task has a site");
-            (queued.pop(), site)
-        };
-        if let Some((src, gb)) = open_next {
-            let flow = self.flows.add_flow(src, site, gb);
-            self.set_flow_owner(flow, FlowOwner::Task(j, s, t));
-            if let TaskState::Fetching { pending, .. } = &mut self.jobs[j].stages[s].tasks[t].state
-            {
+            if let Some((src, gb)) = queued.pop() {
+                let flow = self.flows.add_flow(src, a.site, gb);
+                self.set_flow_owner(flow, (j, s, t, copy));
                 pending.push(flow);
+            } else if pending.is_empty() {
+                self.begin_compute(j, s, t, &mut a);
             }
         }
-        let done = matches!(
-            &self.jobs[j].stages[s].tasks[t].state,
-            TaskState::Fetching { pending, queued } if pending.is_empty() && queued.is_empty()
-        );
-        if done {
-            self.begin_compute(j, s, t);
-        }
+        self.put_attempt(j, s, t, a);
     }
 
-    /// Transitions a task whose inputs are local/arrived into its compute
-    /// phase.
-    fn begin_compute(&mut self, j: usize, s: usize, t: usize) {
-        #[expect(
-            clippy::expect_used,
-            reason = "launch samples actual_secs before any compute phase"
-        )]
-        let secs = self.jobs[j].stages[s].tasks[t]
-            .actual_secs
-            .expect("duration sampled at launch");
-        let done_at = self.now + secs;
-        let task = &mut self.jobs[j].stages[s].tasks[t];
-        task.state = TaskState::Computing { done_at };
-        task.compute_started = Some(self.now);
-        #[expect(
-            clippy::expect_used,
-            reason = "launch sets run_site before a task can compute"
-        )]
-        let site = task.run_site.expect("computing task has a site");
-        self.obs
-            .task_event(self.now, j, s, t, false, TaskPhaseEvent::Computing, site);
-        self.events.push(done_at, Event::ComputeDone(j, s, t));
-    }
-
-    fn on_compute_done(&mut self, j: usize, s: usize, t: usize) {
-        let (site, secs, launched_at, compute_started) = {
-            let task = &self.jobs[j].stages[s].tasks[t];
-            let TaskState::Computing { done_at } = task.state else {
-                // A speculative copy already finished this task, or the
-                // attempt was lost to a failure or an outage.
-                return;
-            };
-            if done_at != self.now {
-                // Stale event: the attempt that pushed it was failed by an
-                // outage and the task relaunched; the live attempt enqueued
-                // its own completion. (Exact float equality holds — the
-                // event carries the same bits `done_at` was set to.)
-                return;
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "launch sets run_site before a task can compute"
-            )]
-            let site = task.run_site.expect("running task has a site");
-            (
-                site,
-                task.actual_secs.unwrap_or(0.0),
-                task.launched_at.unwrap_or(self.now),
-                task.compute_started.unwrap_or(self.now),
-            )
+    /// Moves attempt `a` of task `(j, s, t)`, whose inputs are all local,
+    /// into its compute phase.
+    fn begin_compute(&mut self, j: usize, s: usize, t: usize, a: &mut Attempt) {
+        let done_at = self.now + a.secs;
+        a.phase = Phase::Computing {
+            started: self.now,
+            done_at,
         };
-        // Fail-over injection (§6.1 trace): the attempt is lost and the task
-        // returns to the pool for re-placement. A live speculative copy, if
-        // any, keeps running and may still complete the task.
-        if self.cfg.failure_prob > 0.0 && self.rng.gen::<f64>() < self.cfg.failure_prob {
-            self.fail_attempt(j, s, t, site);
+        let copy = a.copy.is_some();
+        self.obs
+            .task_event(self.now, j, s, t, copy, TaskPhaseEvent::Computing, a.site);
+        self.events
+            .push(done_at, Event::ComputeDone(j, s, t, a.copy));
+    }
+
+    /// Attempt `copy` of task `(j, s, t)` finished computing. Unless failure
+    /// injection strikes the original, it wins: the other attempt, if any,
+    /// is cancelled (its `Cancelled` event precedes the winner's `Done`) and
+    /// the task completes.
+    fn on_compute_done(&mut self, j: usize, s: usize, t: usize, copy: Option<u64>) {
+        // A stale event finds no attempt (it was cancelled, or failed and
+        // not relaunched) or one whose own completion lies ahead (an
+        // original relaunched after an outage). Exact float equality holds:
+        // the event carries the bits `done_at` was set to.
+        let Some(win) = self.take_attempt(j, s, t, copy) else {
+            return;
+        };
+        let started = match win.phase {
+            Phase::Computing { started, done_at } if done_at == self.now => started,
+            _ => {
+                self.put_attempt(j, s, t, win);
+                return;
+            }
+        };
+        // Fail-over injection (§6.1 trace) draws once per original
+        // completion and never for a copy. A failed original returns to the
+        // pool; a live copy, if any, keeps running and may still complete
+        // the task.
+        if copy.is_none()
+            && self.cfg.failure_prob > 0.0
+            && self.rng.gen::<f64>() < self.cfg.failure_prob
+        {
+            self.fail_attempt(j, s, t, win);
             self.request_sched(true, Trigger::Failure);
             return;
         }
-        self.jobs[j].stages[s].tasks[t].state = TaskState::Done;
-        self.vacate_slot(site);
-        self.cancel_copy(j, s, t);
-        self.finish_task(
-            j,
-            s,
-            t,
-            TaskCompletion {
-                site,
-                launched_at,
-                compute_started,
-                secs,
-                was_copy: false,
-            },
-        );
+        let task = &mut self.jobs[j].stages[s].tasks[t];
+        let loser = match copy {
+            None => self.copies.remove(&(j, s, t)),
+            Some(_) => task.state.take_running_if(|_| true),
+        };
+        let original = if copy.is_none() {
+            Some(&win)
+        } else {
+            loser.as_ref()
+        };
+        task.state = TaskState::Done(original.map(|a| a.site));
+        if let Some(loser) = loser {
+            self.cancel(j, s, t, loser);
+        }
+        self.vacate_slot(win.site);
+        if copy.is_some() {
+            self.copies_won += 1;
+            self.obs.copy_won();
+        }
+        self.finish_task(j, s, t, &win, started);
     }
 
-    /// Shared completion accounting for originals and winning copies:
-    /// materializes the task's output at the attempt's site, advances
-    /// stage/job state and requests scheduling. `done` carries the winning
-    /// attempt's own timeline — a winning copy reports when *it* occupied a
-    /// slot and started computing, not the original's times, so the trace
-    /// never shows a negative fetch phase.
-    fn finish_task(&mut self, j: usize, s: usize, t: usize, done: TaskCompletion) {
-        let site = done.site;
+    /// Completion accounting for the winning attempt `win`, which began
+    /// computing at `started`: records the winner's own timeline (a winning
+    /// copy reports when *it* occupied a slot and started computing, so the
+    /// trace never shows a negative fetch phase), materializes the task's
+    /// output at its site, advances stage/job state and requests
+    /// scheduling.
+    fn finish_task(&mut self, j: usize, s: usize, t: usize, win: &Attempt, started: f64) {
+        let site = win.site;
+        let was_copy = win.copy.is_some();
         self.obs
-            .task_event(self.now, j, s, t, done.was_copy, TaskPhaseEvent::Done, site);
+            .task_event(self.now, j, s, t, was_copy, TaskPhaseEvent::Done, site);
         if self.cfg.record_trace {
             self.trace.push(TaskTrace {
                 job: self.jobs[j].job.id,
                 stage: s,
                 task: t,
                 site,
-                launched_at: done.launched_at,
-                compute_started: done.compute_started,
+                launched_at: win.launched_at,
+                compute_started: started,
                 finished_at: self.now,
-                was_copy: done.was_copy,
+                was_copy,
             });
         }
-        self.recent_secs.push_back(done.secs);
+        self.recent_secs.push_back(win.secs);
         if self.recent_secs.len() > 64 {
             self.recent_secs.pop_front();
         }
@@ -932,7 +854,7 @@ impl Engine {
             list.clear();
             list.extend(per_site[site].drain(..take));
             for &(_, j, s, t) in &list {
-                self.launch(j, s, t, SiteId(site));
+                self.launch(j, s, t, SiteId(site), None);
                 launched += 1;
             }
         }
@@ -942,54 +864,58 @@ impl Engine {
         launched
     }
 
-    /// Launches one task at `site`: samples its actual duration, starts its
-    /// input flows (map: one source partition; reduce: a fetch from every
-    /// site holding shuffle data) and begins compute immediately when all
-    /// inputs are local.
-    fn launch(&mut self, j: usize, s: usize, t: usize, site: SiteId) {
+    /// Launches an attempt of task `(j, s, t)` at `site`, the original
+    /// (`copy` is `None`) or a speculative copy: samples its duration,
+    /// charges and starts its input flows (map: one source partition;
+    /// reduce: a fetch from every site holding shuffle data) and begins
+    /// compute immediately when all inputs are local.
+    fn launch(&mut self, j: usize, s: usize, t: usize, site: SiteId, copy: Option<u64>) {
         self.occupy_slot(site);
-        self.obs
-            .task_event(self.now, j, s, t, false, TaskPhaseEvent::Fetching, site);
+        self.obs.task_event(
+            self.now,
+            j,
+            s,
+            t,
+            copy.is_some(),
+            TaskPhaseEvent::Fetching,
+            site,
+        );
         let kind = self.jobs[j].job.stages[s].kind;
         let mean = self.jobs[j].job.stages[s].task_secs;
         let secs = self.sample_duration(mean);
-        {
-            let task = &mut self.jobs[j].stages[s].tasks[t];
-            task.run_site = Some(site);
-            task.actual_secs = Some(secs);
-            task.launched_at = Some(self.now);
-        }
 
-        // Collect this task's remote fetches, then open at most
-        // `max_fetch_concurrency` immediately; the rest queue behind them.
-        // All flows of a same-instant launch burst (an n-source shuffle
-        // fan-out, or many tasks dispatched at one scheduling point) enter
-        // the simulator before the next completion query, so the whole
-        // burst costs one rate refresh.
+        // Open at most `max_fetch_concurrency` fetches immediately; the rest
+        // queue behind them. All flows of a same-instant launch burst (an
+        // n-source shuffle fan-out, or many tasks dispatched at one
+        // scheduling point) enter the simulator before the next completion
+        // query, so the whole burst costs one rate refresh.
         let mut fetches = std::mem::take(&mut self.fetch_scratch);
         self.collect_fetches(j, s, t, kind, site, &mut fetches);
-        if fetches.is_empty() {
-            self.fetch_scratch = fetches;
-            self.begin_compute(j, s, t);
-            return;
-        }
-        for &(_, gb) in &fetches {
-            self.jobs[j].wan_gb += gb;
-        }
         let cap = self.cfg.max_fetch_concurrency.max(1);
-        let mut pending = Vec::new();
-        let mut queued = Vec::new();
+        let (mut pending, mut queued) = (Vec::new(), Vec::new());
         for (i, &(src, gb)) in fetches.iter().enumerate() {
+            self.jobs[j].wan_gb += gb;
             if i < cap {
                 let key = self.flows.add_flow(src, site, gb);
-                self.set_flow_owner(key, FlowOwner::Task(j, s, t));
+                self.set_flow_owner(key, (j, s, t, copy));
                 pending.push(key);
             } else {
                 queued.push((src, gb));
             }
         }
         self.fetch_scratch = fetches;
-        self.jobs[j].stages[s].tasks[t].state = TaskState::Fetching { pending, queued };
+        let local = pending.is_empty();
+        let mut a = Attempt {
+            site,
+            secs,
+            launched_at: self.now,
+            phase: Phase::Fetching { pending, queued },
+            copy,
+        };
+        if local {
+            self.begin_compute(j, s, t, &mut a);
+        }
+        self.put_attempt(j, s, t, a);
     }
 
     /// Fills `fetches` with the remote inputs an attempt of task `(j, s, t)`
@@ -1072,23 +998,20 @@ impl Engine {
                 if st.status != StageStatus::Runnable {
                     continue;
                 }
-                let cap = copy_cap(st.tasks.len(), spec.max_copies_frac);
-                let live = (0..st.tasks.len())
-                    .filter(|&t| self.copies.contains_key(&(j, si, t)))
-                    .count();
-                if live >= cap {
-                    continue;
-                }
-                let mut budget = cap - live;
+                let live = self.copies.range((j, si, 0)..(j, si + 1, 0)).count();
+                let mut budget =
+                    copy_cap(st.tasks.len(), spec.max_copies_frac).saturating_sub(live);
                 for (t, task) in st.tasks.iter().enumerate() {
                     if budget == 0 {
                         break;
                     }
-                    let straggling = matches!(task.state, TaskState::Computing { .. })
-                        && task.compute_started.is_some_and(|start| {
-                            self.now - start > spec.threshold * st.est_task_secs
-                        })
-                        && !self.copies.contains_key(&(j, si, t));
+                    let straggling = matches!(
+                        &task.state,
+                        TaskState::Running(Attempt {
+                            phase: Phase::Computing { started, .. },
+                            ..
+                        }) if self.now - started > spec.threshold * st.est_task_secs
+                    ) && !self.copies.contains_key(&(j, si, t));
                     if straggling {
                         candidates.push((j, si, t));
                         budget -= 1;
@@ -1104,202 +1027,65 @@ impl Engine {
             else {
                 return;
             };
-            self.launch_copy(j, si, t, SiteId(site), spec);
+            let id = self.next_copy_id;
+            self.next_copy_id += 1;
+            self.copies_launched += 1;
+            self.obs.copy_launched();
+            self.launch(j, si, t, SiteId(site), Some(id));
         }
     }
 
-    fn launch_copy(
-        &mut self,
-        j: usize,
-        s: usize,
-        t: usize,
-        site: SiteId,
-        _spec: SpeculationConfig,
-    ) {
-        self.occupy_slot(site);
-        self.obs
-            .task_event(self.now, j, s, t, true, TaskPhaseEvent::Fetching, site);
-        self.obs.copy_launched();
-        let id = self.next_copy_id;
-        self.next_copy_id += 1;
-        let mean = self.jobs[j].job.stages[s].task_secs;
-        let secs = self.sample_duration(mean);
-        let kind = self.jobs[j].job.stages[s].kind;
-        let mut fetches = std::mem::take(&mut self.fetch_scratch);
-        self.collect_fetches(j, s, t, kind, site, &mut fetches);
-        for &(_, gb) in &fetches {
-            self.jobs[j].wan_gb += gb;
+    /// Takes attempt `copy` of task `(j, s, t)` out of the engine: the
+    /// original (`None`) out of the task's state, a copy out of the
+    /// live-copy map if its id still matches. [`Engine::put_attempt`] puts
+    /// it back.
+    fn take_attempt(&mut self, j: usize, s: usize, t: usize, copy: Option<u64>) -> Option<Attempt> {
+        if copy.is_none() {
+            return self.jobs[j].stages[s].tasks[t]
+                .state
+                .take_running_if(|_| true);
         }
-        let cap = self.cfg.max_fetch_concurrency.max(1);
-        let mut pending = Vec::new();
-        let mut queued = Vec::new();
-        for (i, &(src, gb)) in fetches.iter().enumerate() {
-            if i < cap {
-                let key = self.flows.add_flow(src, site, gb);
-                self.set_flow_owner(key, FlowOwner::Copy(j, s, t, id));
-                pending.push(key);
-            } else {
-                queued.push((src, gb));
+        let live = self.copies.get(&(j, s, t)).is_some_and(|a| a.copy == copy);
+        live.then(|| self.copies.remove(&(j, s, t))).flatten()
+    }
+
+    /// Stores running attempt `a` of task `(j, s, t)`: the original in the
+    /// task's state, a copy in the live-copy map.
+    fn put_attempt(&mut self, j: usize, s: usize, t: usize, a: Attempt) {
+        if a.copy.is_none() {
+            self.jobs[j].stages[s].tasks[t].state = TaskState::Running(a);
+        } else {
+            self.copies.insert((j, s, t), a);
+        }
+    }
+
+    /// Releases what attempt `a` of a task of job `j` holds when it will
+    /// never finish: refunds the WAN it was charged for but will not move
+    /// (the unsent remainder of in-flight fetches, and the fetches still
+    /// queued behind the concurrency cap, both charged in full at launch)
+    /// and frees its slot.
+    fn release(&mut self, j: usize, a: Attempt) {
+        if let Phase::Fetching { pending, queued } = a.phase {
+            for key in pending {
+                let unsent = self.flows.remove_flow(key);
+                self.take_flow_owner(key);
+                self.jobs[j].wan_gb -= unsent;
+            }
+            for (_, gb) in queued {
+                self.jobs[j].wan_gb -= gb;
             }
         }
-        self.fetch_scratch = fetches;
-        self.copies_launched += 1;
-        let computing = pending.is_empty();
-        if computing {
-            self.obs
-                .task_event(self.now, j, s, t, true, TaskPhaseEvent::Computing, site);
-            self.events
-                .push(self.now + secs, Event::CopyComputeDone(j, s, t, id));
-        }
-        self.copies.insert(
-            (j, s, t),
-            CopyRt {
-                id,
-                site,
-                pending,
-                queued,
-                computing,
-                secs,
-                launched_at: self.now,
-                compute_started: if computing { Some(self.now) } else { None },
-            },
-        );
+        self.vacate_slot(a.site);
     }
 
-    fn on_copy_flow_done(&mut self, j: usize, s: usize, t: usize, id: u64, key: FlowKey) {
-        let Some(copy) = self.copies.get_mut(&(j, s, t)) else {
-            return; // Copy was cancelled; the flow was already torn down.
-        };
-        if copy.id != id {
-            return;
-        }
-        copy.pending.retain(|k| *k != key);
-        let site = copy.site;
-        if let Some((src, gb)) = copy.queued.pop() {
-            let flow = self.flows.add_flow(src, site, gb);
-            self.set_flow_owner(flow, FlowOwner::Copy(j, s, t, id));
-            if let Some(copy) = self.copies.get_mut(&(j, s, t)) {
-                copy.pending.push(flow);
-            }
-            return;
-        }
-        if copy.pending.is_empty() && !copy.computing {
-            copy.computing = true;
-            copy.compute_started = Some(self.now);
-            let secs = copy.secs;
-            self.obs
-                .task_event(self.now, j, s, t, true, TaskPhaseEvent::Computing, site);
-            self.events
-                .push(self.now + secs, Event::CopyComputeDone(j, s, t, id));
-        }
-    }
-
-    fn on_copy_compute_done(&mut self, j: usize, s: usize, t: usize, id: u64) {
-        let Some(copy) = self.copies.get(&(j, s, t)) else {
-            return; // Cancelled before finishing.
-        };
-        if copy.id != id {
-            return;
-        }
-        let copy_site = copy.site;
-        let copy_secs = copy.secs;
-        let copy_launched_at = copy.launched_at;
-        let copy_compute_started = copy.compute_started.unwrap_or(self.now);
-        // The copy won: tear down the original (if it is still occupying a
-        // slot — a failure injection may have returned it to the pool) and
-        // complete the task here.
-        let (orig_site, orig_flows, orig_queued) = {
-            let task = &mut self.jobs[j].stages[s].tasks[t];
-            if task.state == TaskState::Done {
-                // The original finished in the same instant; it won.
-                self.copies.remove(&(j, s, t));
-                self.vacate_slot(copy_site);
-                self.obs.attempt_cancelled();
-                self.obs.task_event(
-                    self.now,
-                    j,
-                    s,
-                    t,
-                    true,
-                    TaskPhaseEvent::Cancelled,
-                    copy_site,
-                );
-                return;
-            }
-            let (flows, queued) = match &mut task.state {
-                TaskState::Fetching { pending, queued } => {
-                    (std::mem::take(pending), std::mem::take(queued))
-                }
-                _ => (Vec::new(), Vec::new()),
-            };
-            let site = task.run_site;
-            task.state = TaskState::Done;
-            (site, flows, queued)
-        };
-        // Refund WAN the original was charged for but will never move: the
-        // unsent remainder of in-flight fetches AND fetches still queued
-        // behind the concurrency cap (which were charged in full at launch).
-        for key in orig_flows {
-            let unsent = self.flows.remove_flow(key);
-            self.take_flow_owner(key);
-            self.jobs[j].wan_gb -= unsent;
-        }
-        for (_, gb) in orig_queued {
-            self.jobs[j].wan_gb -= gb;
-        }
-        if let Some(site) = orig_site {
-            self.vacate_slot(site);
-            self.obs.attempt_cancelled();
-            self.obs
-                .task_event(self.now, j, s, t, false, TaskPhaseEvent::Cancelled, site);
-        }
-        self.vacate_slot(copy_site);
-        self.copies.remove(&(j, s, t));
-        self.copies_won += 1;
-        self.obs.copy_won();
-        self.finish_task(
-            j,
-            s,
-            t,
-            TaskCompletion {
-                site: copy_site,
-                launched_at: copy_launched_at,
-                compute_started: copy_compute_started,
-                secs: copy_secs,
-                was_copy: true,
-            },
-        );
-    }
-
-    /// Cancels a live copy after the original finished first.
-    fn cancel_copy(&mut self, j: usize, s: usize, t: usize) {
-        let Some(copy) = self.copies.remove(&(j, s, t)) else {
-            return;
-        };
-        // Refund both the unsent remainder of in-flight fetches and fetches
-        // still queued behind the concurrency cap — the copy was charged for
-        // all of them up front at launch.
-        for key in copy.pending {
-            let unsent = self.flows.remove_flow(key);
-            self.take_flow_owner(key);
-            self.jobs[j].wan_gb -= unsent;
-        }
-        for (_, gb) in copy.queued {
-            self.jobs[j].wan_gb -= gb;
-        }
-        self.vacate_slot(copy.site);
+    /// Cancels attempt `a` of task `(j, s, t)`: the other attempt won, or
+    /// `a` is a copy at a site that went down.
+    fn cancel(&mut self, j: usize, s: usize, t: usize, a: Attempt) {
+        let (site, copy) = (a.site, a.copy.is_some());
+        self.release(j, a);
         self.obs.attempt_cancelled();
-        self.obs.task_event(
-            self.now,
-            j,
-            s,
-            t,
-            true,
-            TaskPhaseEvent::Cancelled,
-            copy.site,
-        );
-        // A pending CopyComputeDone event becomes stale: the id check in
-        // `on_copy_compute_done` ignores it.
+        self.obs
+            .task_event(self.now, j, s, t, copy, TaskPhaseEvent::Cancelled, site);
     }
 
     /// Fills `out` with the current cluster and job state, reusing the
@@ -1379,17 +1165,20 @@ impl Engine {
             .tasks
             .iter()
             .enumerate()
-            .map(|(i, task)| TaskSnapshot {
-                index: i,
-                phase: match task.state {
-                    TaskState::Unlaunched => TaskPhase::Unlaunched,
-                    TaskState::Fetching { .. } | TaskState::Computing { .. } => TaskPhase::Running,
-                    TaskState::Done => TaskPhase::Done,
-                },
-                input_site: task.input_site,
-                input_gb: task.input_gb,
-                share: task.share,
-                running_site: task.run_site,
+            .map(|(i, task)| {
+                let (phase, running_site) = match &task.state {
+                    TaskState::Unlaunched => (TaskPhase::Unlaunched, None),
+                    TaskState::Running(a) => (TaskPhase::Running, Some(a.site)),
+                    TaskState::Done(site) => (TaskPhase::Done, *site),
+                };
+                TaskSnapshot {
+                    index: i,
+                    phase,
+                    input_site: task.input_site,
+                    input_gb: task.input_gb,
+                    share: task.share,
+                    running_site,
+                }
             })
             .collect();
         StageSnapshot {
@@ -1504,10 +1293,6 @@ impl Engine {
 /// read-only — it never influences the simulation, so an audit build
 /// produces byte-identical output to a normal build (just slower).
 #[cfg(feature = "audit")]
-#[allow(
-    clippy::expect_used,
-    reason = "the auditor stops the run on the first broken invariant"
-)]
 impl Engine {
     fn audit_check(&mut self, ctx: &str) {
         // 1. Event-time monotonicity, and the engine/flow clocks agree
@@ -1529,26 +1314,31 @@ impl Engine {
         }
 
         // 3. Slot-occupancy conservation: the per-site occupancy counters
-        //    must equal the number of running attempts (original tasks
-        //    holding a slot while fetching/computing, plus live speculative
-        //    copies) recounted from scratch.
+        //    must equal the running attempts (originals and live copies)
+        //    recounted from scratch. A live copy's task is never done: the
+        //    winner cancels the other attempt before the task completes.
         let n = self.cluster.len();
         let mut running = vec![0usize; n];
-        for job in &self.jobs {
-            for st in &job.stages {
-                for task in &st.tasks {
-                    if matches!(
-                        task.state,
-                        TaskState::Fetching { .. } | TaskState::Computing { .. }
-                    ) {
-                        let site = task.run_site.expect("running task has a site");
-                        running[site.index()] += 1;
-                    }
-                }
-            }
+        let originals = self
+            .jobs
+            .iter()
+            .flat_map(|j| &j.stages)
+            .flat_map(|st| &st.tasks)
+            .filter_map(|task| match &task.state {
+                TaskState::Running(a) => Some(a),
+                _ => None,
+            });
+        let attempts: Vec<&Attempt> = originals.chain(self.copies.values()).collect();
+        for a in &attempts {
+            running[a.site.index()] += 1;
         }
-        for copy in self.copies.values() {
-            running[copy.site.index()] += 1;
+        for &(j, s, t) in self.copies.keys() {
+            assert!(
+                !matches!(self.jobs[j].stages[s].tasks[t].state, TaskState::Done(_)),
+                "audit[{ctx}]: task {:?} is done but its copy still runs at t={}",
+                (j, s, t),
+                self.now
+            );
         }
         for s in 0..n {
             assert!(
@@ -1584,17 +1374,10 @@ impl Engine {
         //    this to hold mid-run.
         let per_job: f64 = self.jobs.iter().map(|j| j.wan_gb).sum();
         let mut queued_gb = 0.0f64;
-        for job in &self.jobs {
-            for st in &job.stages {
-                for task in &st.tasks {
-                    if let TaskState::Fetching { queued, .. } = &task.state {
-                        queued_gb += queued.iter().map(|&(_, gb)| gb).sum::<f64>();
-                    }
-                }
+        for a in &attempts {
+            if let Phase::Fetching { queued, .. } = &a.phase {
+                queued_gb += queued.iter().map(|&(_, gb)| gb).sum::<f64>();
             }
-        }
-        for copy in self.copies.values() {
-            queued_gb += copy.queued.iter().map(|&(_, gb)| gb).sum::<f64>();
         }
         let flowsim_gb = self.flows.total_wan_gb();
         let expect = flowsim_gb + queued_gb;
@@ -1903,41 +1686,6 @@ mod tests {
     }
 
     #[test]
-    fn speculation_rescues_or_completes_cleanly() {
-        use crate::config::SpeculationConfig;
-        // Forced stragglers with a huge multiplier spread: copies resample
-        // their duration and often win. The run must stay consistent either
-        // way (no double completion, slots balanced, WAN non-negative).
-        let input = DataDistribution::new(vec![4.0, 4.0]);
-        let job = Job::map_reduce(JobId(0), "spec", 0.0, input, 8, 1.0, 0.5, 4, 1.0);
-        let cluster = Cluster::new(vec![
-            Site::new("a", 6, 1.0, 1.0),
-            Site::new("b", 6, 1.0, 1.0),
-        ]);
-        let cfg = EngineConfig {
-            straggler_prob: 0.6,
-            straggler_mult: (5.0, 60.0),
-            speculation: Some(SpeculationConfig {
-                threshold: 1.5,
-                max_copies_frac: 0.5,
-            }),
-            batch: crate::config::BatchPolicy::Fixed(0.5),
-            seed: 3,
-            ..EngineConfig::default()
-        };
-        let report = Engine::new(cluster, vec![job], Box::new(LocalScheduler), cfg)
-            .run()
-            .unwrap();
-        assert_eq!(report.jobs.len(), 1);
-        assert!(
-            report.copies_launched > 0,
-            "stragglers should trigger copies"
-        );
-        assert!(report.copies_won <= report.copies_launched);
-        assert!(report.jobs[0].wan_gb >= 0.0);
-    }
-
-    #[test]
     fn speculation_off_launches_no_copies() {
         let input = DataDistribution::new(vec![2.0, 2.0]);
         let job = Job::map_reduce(JobId(0), "nospec", 0.0, input, 4, 1.0, 0.5, 2, 1.0);
@@ -2028,38 +1776,6 @@ mod tests {
         .run()
         .unwrap();
         assert_eq!(clean.task_failures, 0);
-    }
-
-    #[test]
-    fn failures_and_speculation_compose() {
-        use crate::config::SpeculationConfig;
-        let input = DataDistribution::new(vec![4.0, 4.0]);
-        let job = Job::map_reduce(JobId(0), "chaos", 0.0, input, 8, 1.0, 0.5, 4, 1.0);
-        let cluster = Cluster::new(vec![
-            Site::new("a", 6, 1.0, 1.0),
-            Site::new("b", 6, 1.0, 1.0),
-        ]);
-        let report = Engine::new(
-            cluster,
-            vec![job],
-            Box::new(LocalScheduler),
-            EngineConfig {
-                failure_prob: 0.2,
-                straggler_prob: 0.4,
-                straggler_mult: (4.0, 30.0),
-                speculation: Some(SpeculationConfig {
-                    threshold: 1.5,
-                    max_copies_frac: 0.5,
-                }),
-                batch: crate::config::BatchPolicy::Fixed(0.5),
-                seed: 23,
-                ..EngineConfig::default()
-            },
-        )
-        .run()
-        .unwrap();
-        assert_eq!(report.jobs.len(), 1);
-        assert!(report.jobs[0].response.is_finite());
     }
 
     #[test]

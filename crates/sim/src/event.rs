@@ -12,10 +12,9 @@ use std::collections::BinaryHeap;
 pub enum Event {
     /// A job (by workload index) arrives at the global manager.
     JobArrival(usize),
-    /// A task finished its compute phase: `(job, stage, task)`.
-    ComputeDone(usize, usize, usize),
-    /// A speculative copy finished computing: `(job, stage, task, copy id)`.
-    CopyComputeDone(usize, usize, usize, u64),
+    /// An attempt finished its compute phase: `(job, stage, task, copy
+    /// id)`, the id `None` for the original.
+    ComputeDone(usize, usize, usize, Option<u64>),
     /// A batched scheduling instance fires.
     SchedulingPoint,
     /// A dynamics-timeline event (by index into the engine's timeline —
@@ -118,7 +117,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(3.0, Event::SchedulingPoint);
         q.push(1.0, Event::JobArrival(0));
-        q.push(2.0, Event::ComputeDone(0, 0, 0));
+        q.push(2.0, Event::ComputeDone(0, 0, 0, None));
         assert_eq!(q.pop().unwrap().0, 1.0);
         assert_eq!(q.pop().unwrap().0, 2.0);
         assert_eq!(q.pop().unwrap().0, 3.0);

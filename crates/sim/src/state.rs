@@ -10,22 +10,67 @@ use tetrium_net::FlowKey;
 pub enum TaskState {
     /// Waiting for an assignment and a free slot.
     Unlaunched,
-    /// Occupying a slot while its input flows drain.
+    /// The original attempt holds a slot (a speculative copy, if any, lives
+    /// beside it in the engine's copy map).
+    Running(Attempt),
+    /// Finished. Holds the site of the original's last attempt, which
+    /// snapshots report as the task's running site: `None` when the
+    /// original had failed before a copy won.
+    Done(Option<SiteId>),
+}
+
+impl TaskState {
+    /// Takes the original attempt out when `pred` accepts it, leaving the
+    /// task unlaunched; any other state is left as it is.
+    pub fn take_running_if(&mut self, pred: impl FnOnce(&Attempt) -> bool) -> Option<Attempt> {
+        match self {
+            TaskState::Running(a) if pred(a) => {}
+            _ => return None,
+        }
+        match std::mem::replace(self, TaskState::Unlaunched) {
+            TaskState::Running(a) => Some(a),
+            _ => None,
+        }
+    }
+}
+
+/// One attempt of a task, the original or a speculative copy (§8's
+/// straggler mitigation), holding a slot at `site` from launch until it
+/// finishes, fails or is cancelled.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Attempt {
+    /// Site the attempt occupies a slot at.
+    pub site: SiteId,
+    /// Compute seconds, sampled at launch.
+    pub secs: f64,
+    /// When the attempt occupied its slot.
+    pub launched_at: f64,
+    /// Where the attempt is in its run.
+    pub phase: Phase,
+    /// `None` for the original; a copy's id, unique over the run, so the
+    /// completion event of a cancelled copy is not taken for a later one.
+    pub copy: Option<u64>,
+}
+
+/// Phase of a running attempt.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Phase {
+    /// Its input flows drain.
     Fetching {
         /// Flows currently in flight.
         pending: Vec<FlowKey>,
         /// Fetches not yet opened `(source, GB)`; drained as in-flight
-        /// flows finish, bounding per-task fetch concurrency like a real
+        /// flows finish, bounding per-attempt fetch concurrency like a real
         /// shuffle client.
         queued: Vec<(SiteId, f64)>,
     },
-    /// Occupying a slot while computing; finishes at the stored time.
+    /// Computing since `started`; finishes at `done_at`.
     Computing {
+        /// When the compute phase began.
+        started: f64,
         /// Absolute completion time.
         done_at: f64,
     },
-    /// Finished.
-    Done,
 }
 
 /// Runtime record of one task.
@@ -44,14 +89,6 @@ pub struct TaskRt {
     pub priority: i64,
     /// Current lifecycle state.
     pub state: TaskState,
-    /// Site the task is or was running at.
-    pub run_site: Option<SiteId>,
-    /// Actual compute seconds (sampled at launch).
-    pub actual_secs: Option<f64>,
-    /// When the task's compute phase started (for speculation).
-    pub compute_started: Option<f64>,
-    /// When the task was launched into a slot (for trace recording).
-    pub launched_at: Option<f64>,
     /// Attempts of this task lost so far (failure injection or site
     /// outage); bounded by `EngineConfig::max_task_retries`.
     pub retries: usize,
@@ -91,28 +128,6 @@ pub struct StageRt {
     pub activated_at: Option<f64>,
     /// Time the stage finished.
     pub finished_at: Option<f64>,
-}
-
-/// A live speculative copy of a running task (§8's straggler mitigation).
-#[derive(Debug, Clone)]
-pub struct CopyRt {
-    /// Monotone id distinguishing re-launched copies in stale events.
-    pub id: u64,
-    /// Site the copy occupies a slot at.
-    pub site: SiteId,
-    /// Copy input flows still in flight.
-    pub pending: Vec<FlowKey>,
-    /// Fetches not yet opened.
-    pub queued: Vec<(SiteId, f64)>,
-    /// Whether the copy reached its compute phase.
-    pub computing: bool,
-    /// Sampled compute duration of the copy.
-    pub secs: f64,
-    /// Time the copy occupied its slot (the copy's own timeline, so a
-    /// winning copy's trace does not mix with the original's).
-    pub launched_at: f64,
-    /// Time the copy's compute phase began, once it has.
-    pub compute_started: Option<f64>,
 }
 
 /// Runtime record of one job.
@@ -216,10 +231,6 @@ pub fn build_tasks(
         assigned_site: None,
         priority: i64::MAX,
         state: TaskState::Unlaunched,
-        run_site: None,
-        actual_secs: None,
-        compute_started: None,
-        launched_at: None,
         retries: 0,
     };
     match kind {

@@ -5,7 +5,7 @@
 //! - [`schema`] parses Google/Alibaba-cluster-trace-shaped JSON or CSV
 //!   *leniently* — per-field damage is recorded on the row instead of
 //!   aborting the parse, so the validator can address every problem;
-//! - [`validate`] runs the composable constraint pipeline and reports
+//! - [`validate`](mod@validate) runs the composable constraint pipeline and reports
 //!   **all** violations with row/field addresses;
 //! - [`loader`] converts a validated trace into a [`crate::Scenario`]
 //!   and can export synthetic jobs back into trace form.

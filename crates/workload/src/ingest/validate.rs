@@ -34,7 +34,7 @@ use super::schema::RawTrace;
 pub struct Violation {
     /// Which constraint fired (a name from [`CONSTRAINTS`]).
     pub constraint: &'static str,
-    /// 1-based row address ([`RawRow::row`]); `None` for whole-trace
+    /// 1-based row address ([`RawRow::row`](super::schema::RawRow::row)); `None` for whole-trace
     /// findings.
     pub row: Option<usize>,
     /// Offending field, when the violation is narrower than the row.
