@@ -475,7 +475,10 @@ impl Engine {
                 }
                 for t in 0..self.jobs[j].stages[s].tasks.len() {
                     let state = &mut self.jobs[j].stages[s].tasks[t].state;
-                    if let Some(a) = state.take_running_if(|a| a.site == site) {
+                    if !matches!(state, TaskState::Running(a) if a.site == site) {
+                        continue;
+                    }
+                    if let Some(a) = state.take_running() {
                         self.obs.dynamics_retry();
                         self.fail_attempt(j, s, t, a);
                     }
@@ -543,12 +546,26 @@ impl Engine {
 
     fn on_flow_done(&mut self, key: FlowKey) {
         self.flows.remove_flow(key);
-        // Tearing an attempt down removes its flows and their owners, so an
-        // owned flow always finds its attempt fetching.
-        let Some((j, s, t, copy)) = self.take_flow_owner(key) else {
+        // Every flow is opened for an attempt, and tearing an attempt down
+        // removes its flows and their owners, so a finished flow always
+        // finds its attempt fetching.
+        let owner = self.take_flow_owner(key);
+        debug_assert!(
+            owner.is_some(),
+            "flow {} finished without an owner",
+            key.index()
+        );
+        let Some((j, s, t, copy)) = owner else {
             return;
         };
-        let Some(mut a) = self.take_attempt(j, s, t, copy) else {
+        let a = self.take_attempt(j, s, t, copy);
+        debug_assert!(
+            matches!(&a, Some(a) if matches!(a.phase, Phase::Fetching { .. })),
+            "flow {} finished for task {:?} with no fetching attempt",
+            key.index(),
+            (j, s, t)
+        );
+        let Some(mut a) = a else {
             return;
         };
         if let Phase::Fetching { pending, queued } = &mut a.phase {
@@ -613,7 +630,7 @@ impl Engine {
         let task = &mut self.jobs[j].stages[s].tasks[t];
         let loser = match copy {
             None => self.copies.remove(&(j, s, t)),
-            Some(_) => task.state.take_running_if(|_| true),
+            Some(_) => task.state.take_running(),
         };
         let original = if copy.is_none() {
             Some(&win)
@@ -1041,9 +1058,7 @@ impl Engine {
     /// it back.
     fn take_attempt(&mut self, j: usize, s: usize, t: usize, copy: Option<u64>) -> Option<Attempt> {
         if copy.is_none() {
-            return self.jobs[j].stages[s].tasks[t]
-                .state
-                .take_running_if(|_| true);
+            return self.jobs[j].stages[s].tasks[t].state.take_running();
         }
         let live = self.copies.get(&(j, s, t)).is_some_and(|a| a.copy == copy);
         live.then(|| self.copies.remove(&(j, s, t))).flatten()
@@ -1353,7 +1368,31 @@ impl Engine {
             );
         }
 
-        // 4. Retry-budget monotonicity per task.
+        // 4. Every open flow's owner is a live attempt, fetching, with that
+        //    flow in its pending list (teardown removes flows with their
+        //    owners, so a finished flow always finds its attempt).
+        for (i, owner) in self.flow_owner.iter().enumerate() {
+            let Some((j, s, t, copy)) = *owner else {
+                continue;
+            };
+            let a = match copy {
+                None => match &self.jobs[j].stages[s].tasks[t].state {
+                    TaskState::Running(a) => Some(a),
+                    _ => None,
+                },
+                Some(_) => self.copies.get(&(j, s, t)).filter(|a| a.copy == copy),
+            };
+            assert!(
+                matches!(a, Some(Attempt { phase: Phase::Fetching { pending, .. }, .. })
+                    if pending.iter().any(|k| k.index() == i)),
+                "audit[{ctx}]: flow {i} is owned by {:?} (copy {copy:?}), which is not \
+                 fetching it at t={}",
+                (j, s, t),
+                self.now
+            );
+        }
+
+        // 5. Retry-budget monotonicity per task.
         for (j, job) in self.jobs.iter().enumerate() {
             for (s, st) in job.stages.iter().enumerate() {
                 for (t, task) in st.tasks.iter().enumerate() {
@@ -1367,7 +1406,7 @@ impl Engine {
             }
         }
 
-        // 5. WAN-ledger conservation: per-job charges (made in full at
+        // 6. WAN-ledger conservation: per-job charges (made in full at
         //    launch) must equal the flow simulator's ledger plus the queued
         //    fetches that have not opened a flow yet. Every refund for a
         //    torn-down attempt must have been given back exactly once for
@@ -1388,7 +1427,7 @@ impl Engine {
             self.now
         );
 
-        // 6. Flow-level invariants (bit-exact waterfill, link conservation,
+        // 7. Flow-level invariants (bit-exact waterfill, link conservation,
         //    per-flow byte conservation).
         self.flows.audit(ctx);
     }
@@ -1686,6 +1725,41 @@ mod tests {
     }
 
     #[test]
+    fn speculation_rescues_or_completes_cleanly() {
+        use crate::config::SpeculationConfig;
+        // Forced stragglers with a huge multiplier spread: copies resample
+        // their duration and often win. The run must stay consistent either
+        // way (no double completion, slots balanced, WAN non-negative).
+        let input = DataDistribution::new(vec![4.0, 4.0]);
+        let job = Job::map_reduce(JobId(0), "spec", 0.0, input, 8, 1.0, 0.5, 4, 1.0);
+        let cluster = Cluster::new(vec![
+            Site::new("a", 6, 1.0, 1.0),
+            Site::new("b", 6, 1.0, 1.0),
+        ]);
+        let cfg = EngineConfig {
+            straggler_prob: 0.6,
+            straggler_mult: (5.0, 60.0),
+            speculation: Some(SpeculationConfig {
+                threshold: 1.5,
+                max_copies_frac: 0.5,
+            }),
+            batch: crate::config::BatchPolicy::Fixed(0.5),
+            seed: 3,
+            ..EngineConfig::default()
+        };
+        let report = Engine::new(cluster, vec![job], Box::new(LocalScheduler), cfg)
+            .run()
+            .unwrap();
+        assert_eq!(report.jobs.len(), 1);
+        assert!(
+            report.copies_launched > 0,
+            "stragglers should trigger copies"
+        );
+        assert!(report.copies_won <= report.copies_launched);
+        assert!(report.jobs[0].wan_gb >= 0.0);
+    }
+
+    #[test]
     fn speculation_off_launches_no_copies() {
         let input = DataDistribution::new(vec![2.0, 2.0]);
         let job = Job::map_reduce(JobId(0), "nospec", 0.0, input, 4, 1.0, 0.5, 2, 1.0);
@@ -1776,6 +1850,38 @@ mod tests {
         .run()
         .unwrap();
         assert_eq!(clean.task_failures, 0);
+    }
+
+    #[test]
+    fn failures_and_speculation_compose() {
+        use crate::config::SpeculationConfig;
+        let input = DataDistribution::new(vec![4.0, 4.0]);
+        let job = Job::map_reduce(JobId(0), "chaos", 0.0, input, 8, 1.0, 0.5, 4, 1.0);
+        let cluster = Cluster::new(vec![
+            Site::new("a", 6, 1.0, 1.0),
+            Site::new("b", 6, 1.0, 1.0),
+        ]);
+        let report = Engine::new(
+            cluster,
+            vec![job],
+            Box::new(LocalScheduler),
+            EngineConfig {
+                failure_prob: 0.2,
+                straggler_prob: 0.4,
+                straggler_mult: (4.0, 30.0),
+                speculation: Some(SpeculationConfig {
+                    threshold: 1.5,
+                    max_copies_frac: 0.5,
+                }),
+                batch: crate::config::BatchPolicy::Fixed(0.5),
+                seed: 23,
+                ..EngineConfig::default()
+            },
+        )
+        .run()
+        .unwrap();
+        assert_eq!(report.jobs.len(), 1);
+        assert!(report.jobs[0].response.is_finite());
     }
 
     #[test]

@@ -20,12 +20,11 @@ pub enum TaskState {
 }
 
 impl TaskState {
-    /// Takes the original attempt out when `pred` accepts it, leaving the
-    /// task unlaunched; any other state is left as it is.
-    pub fn take_running_if(&mut self, pred: impl FnOnce(&Attempt) -> bool) -> Option<Attempt> {
-        match self {
-            TaskState::Running(a) if pred(a) => {}
-            _ => return None,
+    /// Takes the original attempt out, leaving the task unlaunched; any
+    /// other state is left as it is.
+    pub fn take_running(&mut self) -> Option<Attempt> {
+        if !matches!(self, TaskState::Running(_)) {
+            return None;
         }
         match std::mem::replace(self, TaskState::Unlaunched) {
             TaskState::Running(a) => Some(a),
