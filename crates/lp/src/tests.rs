@@ -698,6 +698,94 @@ fn placement_lp_across_refactorizations_matches_the_unreduced_solve() {
     solve_both(&p).unwrap();
 }
 
+/// 64-bit FNV-1a.
+#[cfg(not(miri))]
+struct Fnv(u64);
+
+#[cfg(not(miri))]
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Instance `k` of the pinned placement corpus: 4–40 sources, 1–4 shared
+/// destinations, and data, tasks, bandwidths, slots, costs, budget, floor
+/// and `keep` set drawn from `k` by a fixed 64-bit mix (the same ranges as
+/// `presolved_placement_lps_match_the_unreduced_solve`).
+#[cfg(not(miri))]
+fn corpus_lp(k: u64) -> Problem {
+    let mut state = k.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x2545_f491_4f6c_dd1d;
+    let mut draw = |below: u64| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % below
+    };
+    let n = 4 + draw(37) as usize;
+    let dests = 1 + draw(4) as usize;
+    let mut byte = |lo: u64, hi: u64| (lo + draw(hi - lo)) as u8;
+    let data: Vec<u8> = (0..n).map(|_| byte(0, 14).saturating_sub(5)).collect();
+    let tasks: Vec<u8> = (0..n).map(|_| byte(0, 9).saturating_sub(3)).collect();
+    let up: Vec<u8> = (0..n).map(|_| byte(1, 6)).collect();
+    let slots: Vec<u8> = (0..n).map(|_| byte(1, 9)).collect();
+    let cost: Vec<u8> = (0..7).map(|_| byte(0, 3)).collect();
+    let budget = byte(0, 40);
+    let floor = byte(0, 8);
+    let keep: Vec<usize> = (0..byte(0, 3)).map(|_| draw(n as u64) as usize).collect();
+    placement_lp(
+        &data, &tasks, &up, &slots, &cost, dests, budget, floor, &keep,
+    )
+    .0
+}
+
+/// Pins the simplex on a fixed corpus of placement-shaped LPs, each solved
+/// presolved and unreduced: the total of [`crate::Solution::pivots`] and an
+/// FNV-1a digest of every value's and objective's bits (an error's kind in
+/// their place). A pricing change may lower the pivot total, but the
+/// canonical extraction must leave the digest where it is: the reported
+/// values are a function of the problem, not of the pivot path.
+///
+/// When the pivot total changes on purpose, the failure message prints the
+/// new value to paste in.
+#[test]
+#[cfg(not(miri))]
+fn placement_corpus_pivots_and_answer_bits_are_pinned() {
+    const PIVOTS: usize = 6557;
+    const DIGEST: u64 = 0xf2d1_51b4_36ea_b4b1;
+    let mut h = Fnv::new();
+    let mut pivots = 0;
+    for k in 0..64 {
+        let p = corpus_lp(k);
+        for result in [p.solve(), p.solve_unreduced()] {
+            match result {
+                Ok(sol) => {
+                    pivots += sol.pivots;
+                    for v in &sol.values {
+                        h.u64(v.to_bits());
+                    }
+                    h.u64(sol.objective.to_bits());
+                }
+                Err(e) => h.u64(e as u64),
+            }
+        }
+    }
+    assert_eq!(
+        (pivots, h.0),
+        (PIVOTS, DIGEST),
+        "placement corpus: pivots {pivots}, digest {:#018x}",
+        h.0
+    );
+}
+
 /// A map-placement-shaped LP over `n` sources, built so that both presolve
 /// reductions fire. Source `x` ships fractions `a[x][y]` to itself and to
 /// the shared destinations `0..dests`, and one epigraph column `T` bounds
