@@ -21,8 +21,10 @@
 //! - non-negative decision variables with optional upper bounds
 //!   ([`Problem::set_upper`]),
 //! - infeasibility and unboundedness detection,
-//! - Bland's anti-cycling rule (engaged after a Dantzig warm-up) so
-//!   degenerate placement instances cannot loop forever,
+//! - normalized pricing (the largest reduced-cost violation squared over
+//!   the column's squared norm enters) for a warm-up, then Bland's
+//!   anti-cycling rule, so degenerate placement instances cannot loop
+//!   forever; the rule picks the pivot path only, never the answer,
 //! - canonical extraction: a face cleanup plus a refinement from the
 //!   original data make the reported values a function of the problem, not
 //!   of the pivot path, so the presolved and the unreduced solve return

@@ -26,8 +26,19 @@
 //! artificials are retired after phase 1 without dropping redundant rows).
 //! Each phase prices only the columns it may enter, listed once per phase.
 //!
-//! Entering selection is Dantzig's rule for a warm-up period, then Bland's
-//! rule. The canonical face cleanup afterwards minimizes the
+//! Entering selection is normalized pricing for a warm-up period, then
+//! Bland's rule. Normalized pricing enters the eligible column with the
+//! largest `viol² / ‖a_j‖²` (its reduced-cost violation squared over its
+//! squared column norm in the pivoted system): the steepest descent per
+//! unit of the column's own length rather than per unit of its variable.
+//! In phase 1 every row-sum column ties at `−1` under Dantzig's rule, which
+//! then enters the lowest index, often against a compute or upload row
+//! with zero slack (a step of zero); the norm breaks those ties toward the
+//! columns that touch fewer and lighter rows, and cuts the pivots of the
+//! benchmark's placement LPs by 17–49% (DESIGN.md §13.4). Which column may
+//! enter is unchanged (a violation beyond the tolerance), so the optimality
+//! test is too. The canonical face cleanup
+//! afterwards minimizes the
 //! `sqrt(j + 2)` secondary objective (the full system's weights, written in
 //! reduced columns) over the primary-optimal face; the irrational weights
 //! make its minimizer unique, so a presolved and an unreduced solve finish
@@ -37,7 +48,9 @@
 //! primary cost on entry (entering a column with primary reduced cost ≈ 0
 //! leaves the primary multipliers unchanged), each pivot costs one BTRAN of
 //! the secondary cost and prices only the face set, and entering uses the
-//! same Dantzig-then-Bland loop as phase 1 and phase 2.
+//! same pricing loop as phase 1 and phase 2. The pricing rule picks the
+//! path only: the face cleanup and the refinement make the reported values
+//! and objective a function of the problem, so no answer bit depends on it.
 
 use crate::norm::{bounded_rhs, refine_canonical, refine_from_basis, user_duals, NormSystem};
 use crate::presolve::Presolve;
@@ -82,6 +95,9 @@ struct Rev<'a> {
     xb: Vec<f64>,
     lu: SparseLu,
     etas: Vec<Eta>,
+    /// Squared Euclidean norm of every internal column in this system (1
+    /// for an empty column), the scale of normalized pricing.
+    norm2: Vec<f64>,
     pivots: usize,
     /// The FTRAN'd entering column of the current step.
     w: Vec<f64>,
@@ -100,6 +116,16 @@ impl<'a> Rev<'a> {
         for &c in &basis_cols {
             status[c] = Status::Basic;
         }
+        let norm2 = (0..sys.total_cols)
+            .map(|c| {
+                let sq: f64 = sys.col(c).1.iter().map(|v| v * v).sum();
+                if sq > 0.0 {
+                    sq
+                } else {
+                    1.0
+                }
+            })
+            .collect();
         let mut rev = Rev {
             sys,
             ub,
@@ -108,6 +134,7 @@ impl<'a> Rev<'a> {
             xb: vec![0.0; m],
             lu: SparseLu::empty(),
             etas: Vec::new(),
+            norm2,
             pivots: 0,
             w: Vec::with_capacity(m),
             tmp: Vec::with_capacity(m),
@@ -350,8 +377,7 @@ impl<'a> Rev<'a> {
     /// columns it holds those basic on entry (a basic column that leaves
     /// re-joins the face) and the nonbasic ones with `|d1| ≤ FACE_EPS`. Each
     /// pivot then costs one BTRAN for the secondary multipliers and prices
-    /// the face set only, with the same Dantzig-then-Bland rule as
-    /// [`Rev::optimize`].
+    /// the face set only, with the same pricing loop as [`Rev::optimize`].
     fn optimize_face(&mut self, cost: &[f64], sec: &[f64]) -> Result<(), LpError> {
         let y1 = self.multipliers(cost);
         let mut face = self.enterable();
@@ -366,32 +392,38 @@ impl<'a> Rev<'a> {
 
     /// The pricing loop shared by [`Rev::optimize`] and
     /// [`Rev::optimize_face`]: prices the nonbasic columns of `cols`
-    /// (ascending, all enterable) against fresh multipliers for `cost` and
-    /// enters the largest reduced-cost violation beyond `tol`, ties to the
-    /// smallest index (Dantzig), until a warm-up budget runs out; after that
-    /// the first violation wins (Bland), which rules out cycling. Stops when
-    /// no column in `cols` violates.
+    /// (ascending, all enterable) against fresh multipliers for `cost`. A
+    /// column is eligible when its reduced-cost violation `viol` exceeds
+    /// `tol`; until a warm-up budget runs out the eligible column with the
+    /// largest `viol² / ‖a_j‖²` enters, ties to the smallest index
+    /// (normalized pricing, see the module doc); after that the first
+    /// eligible column wins (Bland), which rules out cycling. Stops when no
+    /// column in `cols` is eligible, the same test under either rule.
     fn price_and_pivot(&mut self, cost: &[f64], cols: &[usize], tol: f64) -> Result<(), LpError> {
         let size = self.sys.m() + self.sys.total_cols;
         let limit = 200 * size + 1000;
-        let dantzig_until = 20 * size + 200;
+        let warm_up = 20 * size + 200;
         let mut y = Vec::with_capacity(self.sys.m());
         for iter in 0..limit {
             self.multipliers_into(cost, &mut y);
-            let bland = iter >= dantzig_until;
+            let bland = iter >= warm_up;
             let mut entering = None;
-            let mut best = tol;
+            let mut best = 0.0;
             for &j in cols {
                 let viol = match self.status[j] {
                     Status::Lower => -self.reduced_cost(cost, &y, j),
                     Status::Upper => self.reduced_cost(cost, &y, j),
                     Status::Basic => continue,
                 };
-                if viol > best {
-                    best = viol;
-                    entering = Some(j);
+                if viol > tol {
                     if bland {
+                        entering = Some(j);
                         break;
+                    }
+                    let score = viol * viol / self.norm2[j];
+                    if score > best {
+                        best = score;
+                        entering = Some(j);
                     }
                 }
             }
