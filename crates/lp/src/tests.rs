@@ -698,6 +698,85 @@ fn placement_lp_across_refactorizations_matches_the_unreduced_solve() {
     solve_both(&p).unwrap();
 }
 
+/// Parses the LPs of a repro file: the text `Problem::audit` prints on a
+/// fault, one LP per `lp audit repro:` header, values in `{:?}` form (which
+/// round-trips every `f64` bit).
+#[cfg(not(miri))]
+fn parse_repro(text: &str) -> Vec<Problem> {
+    fn list<T>(s: &str, item: impl Fn(&str) -> T) -> Vec<T> {
+        let s = s.trim_start_matches('[').trim_end_matches(']');
+        if s.is_empty() {
+            return Vec::new();
+        }
+        s.split("), (").map(item).collect()
+    }
+    let num = |s: &str| s.parse::<f64>().unwrap();
+    let floats = |s: &str| -> Vec<f64> { s.split(", ").map(num).collect() };
+    let mut lps = Vec::new();
+    let mut lines = text.lines();
+    while let Some(head) = lines.next() {
+        let n: usize = head
+            .strip_prefix("lp audit repro: NUM_VARS ")
+            .unwrap()
+            .parse()
+            .unwrap();
+        let sense = lines.next().unwrap().strip_prefix("SENSE ").unwrap();
+        let sense = if sense == "Max" {
+            crate::Sense::Max
+        } else {
+            crate::Sense::Min
+        };
+        let mut p = Problem::new(n, sense);
+        let obj = list(lines.next().unwrap().strip_prefix("OBJ ").unwrap(), floats).concat();
+        let obj: Vec<(usize, f64)> = obj.into_iter().enumerate().collect();
+        p.set_objective(&obj);
+        let upper = list(
+            lines.next().unwrap().strip_prefix("UPPER ").unwrap(),
+            floats,
+        )
+        .concat();
+        for (j, ub) in upper.into_iter().enumerate() {
+            p.set_upper(j, ub);
+        }
+        while let Some(con) = lines.clone().next().and_then(|l| l.strip_prefix("CON ")) {
+            lines.next();
+            let (rel, rest) = con.split_once(' ').unwrap();
+            let (terms, rhs) = rest.rsplit_once(" rhs=").unwrap();
+            let terms = list(terms, |t| {
+                let (j, a) = t.trim_matches(['(', ')']).split_once(", ").unwrap();
+                (j.parse().unwrap(), num(a))
+            });
+            let rel = match rel {
+                "Le" => Relation::Le,
+                "Ge" => Relation::Ge,
+                _ => Relation::Eq,
+            };
+            p.add_constraint(&terms, rel, num(rhs));
+        }
+        lps.push(p);
+    }
+    lps
+}
+
+/// Two `trace-30` placement LPs (130 × 323 and 132 × 381, benchmark seed
+/// 0) on which Dantzig pricing reached a numerically singular
+/// refactorization (`LpError::SingularBasis`). Normalized pricing takes
+/// another path; both solve, certify and match the unreduced solve.
+#[test]
+#[cfg(not(miri))]
+fn trace_lps_that_went_singular_under_dantzig_pricing_solve() {
+    let lps = parse_repro(include_str!("../tests/fixtures/singular_basis.lp"));
+    let shapes: Vec<(usize, usize)> = lps
+        .iter()
+        .map(|p| (p.num_constraints(), p.num_vars()))
+        .collect();
+    assert_eq!(shapes, [(130, 323), (132, 381)]);
+    for p in &lps {
+        assert!(p.solve().is_ok());
+        solve_both(p).unwrap();
+    }
+}
+
 /// 64-bit FNV-1a.
 #[cfg(not(miri))]
 struct Fnv(u64);
