@@ -85,6 +85,12 @@ fn scheduler_kind(
     epsilon: f64,
     plan_cache: PlanCacheMode,
 ) -> Result<SchedulerKind, String> {
+    // NaN fails every comparison below, and `WanKnob::new` keeps it.
+    for (flag, value) in [("rho", rho), ("epsilon", epsilon)] {
+        if !value.is_finite() {
+            return Err(format!("--{flag} must be a finite number, got {value}"));
+        }
+    }
     let custom = rho < 1.0 || epsilon < 1.0 || plan_cache != PlanCacheMode::Off;
     match name {
         "tetrium" if !custom => Ok(SchedulerKind::Tetrium),
@@ -743,6 +749,39 @@ mod tests {
         assert!(scheduler_kind("alien", 1.0, 1.0, PlanCacheMode::Off).is_err());
         assert!(cluster_preset("mars", 0).is_err());
         assert!(plan_cache_mode("sometimes").is_err());
+    }
+
+    /// `--rho nan` alone used to run ρ = 1 (NaN fails `rho < 1.0`), and
+    /// with another custom flag it zeroed every map WAN budget; a
+    /// non-finite `--rho` or `--epsilon` is now an argument error in `run`
+    /// and `serve` alike.
+    #[test]
+    fn non_finite_knobs_are_rejected() {
+        for (rho, epsilon) in [(f64::NAN, 1.0), (1.0, f64::NAN), (f64::INFINITY, 1.0)] {
+            for cache in [PlanCacheMode::Off, PlanCacheMode::Exact] {
+                assert!(scheduler_kind("tetrium", rho, epsilon, cache).is_err());
+            }
+        }
+        let dir = std::env::temp_dir().join("tetrium_cli_nan_knob_test");
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("scenario.json");
+        dispatch(&svp(
+            &[
+                "generate", "--kind", "bigdata", "--sites", "ec2-8", "--jobs", "2", "--out",
+            ],
+            &[&path],
+        ))
+        .unwrap();
+        for knob in ["--rho", "--epsilon"] {
+            for cmd in ["run", "serve"] {
+                let err = dispatch(&svp(&[cmd, knob, "nan", "--scenario"], &[&path])).unwrap_err();
+                assert!(
+                    err.contains("must be a finite number"),
+                    "{cmd} {knob}: {err}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[cfg(unix)]
