@@ -37,7 +37,11 @@
 //! columns that touch fewer and lighter rows, and cuts the pivots of the
 //! benchmark's placement LPs by 17–49% (DESIGN.md §13.4). Which column may
 //! enter is unchanged (a violation beyond the tolerance), so the optimality
-//! test is too. The canonical face cleanup
+//! test is too. The ratio test breaks an exact tie (a degenerate step ties
+//! every blocking row at 0) by the largest pivot magnitude during the
+//! warm-up, so a degenerate step does not pivot on rounding noise of a
+//! zero, and by the smallest leaving column index under Bland's rule, as
+//! its termination proof needs. The canonical face cleanup
 //! afterwards minimizes the
 //! `sqrt(j + 2)` secondary objective (the full system's weights, written in
 //! reduced columns) over the primary-optimal face; the irrational weights
@@ -242,22 +246,23 @@ impl<'a> Rev<'a> {
     }
 
     /// Runs one entering step for column `q`: ratio test, then either a
-    /// bound flip or a basis change. Returns `Err(Unbounded)` when no step
-    /// length limits the move.
-    fn step(&mut self, q: usize) -> Result<(), LpError> {
+    /// bound flip or a basis change. `bland` says whether Bland's rule is
+    /// on, which decides how the ratio test breaks an exact tie. Returns
+    /// `Err(Unbounded)` when no step length limits the move.
+    fn step(&mut self, q: usize, bland: bool) -> Result<(), LpError> {
         // w = B⁻¹ a_q, in a buffer kept across steps.
         let mut w = std::mem::take(&mut self.w);
         w.clear();
         w.resize(self.sys.m(), 0.0);
         self.sys.for_col(q, |r, v| w[r] += v);
         self.ftran(&mut w);
-        let result = self.move_along(q, &w);
+        let result = self.move_along(q, &w, bland);
         self.w = w;
         result
     }
 
     /// The rest of [`Rev::step`], given the FTRAN'd entering column `w`.
-    fn move_along(&mut self, q: usize, w: &[f64]) -> Result<(), LpError> {
+    fn move_along(&mut self, q: usize, w: &[f64], bland: bool) -> Result<(), LpError> {
         let dir: f64 = if self.status[q] == Status::Lower {
             1.0
         } else {
@@ -287,10 +292,20 @@ impl<'a> Rev<'a> {
             };
             let better = match leave {
                 _ if t < t_best => true,
-                None => false,
-                // Exact tie: prefer the smallest leaving column index
-                // (Bland-compatible, deterministic).
-                Some((pi, _)) => t == t_best && self.basis_cols[i] < self.basis_cols[pi],
+                // Exact tie (a degenerate step ties every blocking row at
+                // 0). Under Bland's rule the smallest leaving column index
+                // wins, as its termination proof needs; in the warm-up the
+                // largest pivot |w_i| wins first, so a degenerate step does
+                // not divide by what is only rounding noise of a zero.
+                Some((pi, _)) if t == t_best => {
+                    let (a, b) = (wi.abs(), w[pi].abs());
+                    if bland || a == b {
+                        self.basis_cols[i] < self.basis_cols[pi]
+                    } else {
+                        a > b
+                    }
+                }
+                _ => false,
             };
             if better {
                 t_best = t;
@@ -430,7 +445,7 @@ impl<'a> Rev<'a> {
             let Some(q) = entering else {
                 return Ok(());
             };
-            self.step(q)?;
+            self.step(q, bland)?;
         }
         Err(LpError::IterationLimit)
     }
