@@ -35,14 +35,15 @@
 //! then enters the lowest index, often against a compute or upload row
 //! with zero slack (a step of zero); the norm breaks those ties toward the
 //! columns that touch fewer and lighter rows, and cuts the pivots of the
-//! benchmark's placement LPs by 17–49% (DESIGN.md §13.4). Which column may
+//! benchmark's placement LPs by 18–51% (DESIGN.md §13.4). Which column may
 //! enter is unchanged (a violation beyond the tolerance), so the optimality
 //! test is too. The ratio test breaks an exact tie (a degenerate step ties
 //! every blocking row at 0) by the largest pivot magnitude during the
 //! warm-up, so a degenerate step does not pivot on rounding noise of a
 //! zero, and by the smallest leaving column index under Bland's rule, as
-//! its termination proof needs. The canonical face cleanup
-//! afterwards minimizes the
+//! its termination proof needs.
+//!
+//! The canonical face cleanup afterwards minimizes the
 //! `sqrt(j + 2)` secondary objective (the full system's weights, written in
 //! reduced columns) over the primary-optimal face; the irrational weights
 //! make its minimizer unique, so a presolved and an unreduced solve finish
