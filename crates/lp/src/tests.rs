@@ -703,57 +703,58 @@ fn placement_lp_across_refactorizations_matches_the_unreduced_solve() {
 /// round-trips every `f64` bit).
 #[cfg(not(miri))]
 fn parse_repro(text: &str) -> Vec<Problem> {
-    fn list<T>(s: &str, item: impl Fn(&str) -> T) -> Vec<T> {
-        let s = s.trim_start_matches('[').trim_end_matches(']');
-        if s.is_empty() {
-            return Vec::new();
-        }
-        s.split("), (").map(item).collect()
+    // The items of a `[…]` list, split on `sep`.
+    fn items<'a>(list: &'a str, sep: &'a str) -> impl Iterator<Item = &'a str> {
+        let list = list.trim_start_matches('[').trim_end_matches(']');
+        list.split(sep).filter(|item| !item.is_empty())
     }
     let num = |s: &str| s.parse::<f64>().unwrap();
-    let floats = |s: &str| -> Vec<f64> { s.split(", ").map(num).collect() };
-    let mut lps = Vec::new();
-    let mut lines = text.lines();
-    while let Some(head) = lines.next() {
-        let n: usize = head
-            .strip_prefix("lp audit repro: NUM_VARS ")
-            .unwrap()
-            .parse()
-            .unwrap();
-        let sense = lines.next().unwrap().strip_prefix("SENSE ").unwrap();
-        let sense = if sense == "Max" {
-            crate::Sense::Max
-        } else {
-            crate::Sense::Min
-        };
-        let mut p = Problem::new(n, sense);
-        let obj = list(lines.next().unwrap().strip_prefix("OBJ ").unwrap(), floats).concat();
-        let obj: Vec<(usize, f64)> = obj.into_iter().enumerate().collect();
-        p.set_objective(&obj);
-        let upper = list(
-            lines.next().unwrap().strip_prefix("UPPER ").unwrap(),
-            floats,
-        )
-        .concat();
-        for (j, ub) in upper.into_iter().enumerate() {
-            p.set_upper(j, ub);
+    let mut lps: Vec<Problem> = Vec::new();
+    let mut num_vars = 0;
+    for line in text.lines() {
+        if let Some(n) = line.strip_prefix("lp audit repro: NUM_VARS ") {
+            num_vars = n.parse().unwrap();
+            continue;
         }
-        while let Some(con) = lines.clone().next().and_then(|l| l.strip_prefix("CON ")) {
-            lines.next();
-            let (rel, rest) = con.split_once(' ').unwrap();
-            let (terms, rhs) = rest.rsplit_once(" rhs=").unwrap();
-            let terms = list(terms, |t| {
-                let (j, a) = t.trim_matches(['(', ')']).split_once(", ").unwrap();
-                (j.parse().unwrap(), num(a))
-            });
-            let rel = match rel {
-                "Le" => Relation::Le,
-                "Ge" => Relation::Ge,
-                _ => Relation::Eq,
+        let (key, rest) = line.split_once(' ').unwrap();
+        if key == "SENSE" {
+            let sense = if rest == "Max" {
+                crate::Sense::Max
+            } else {
+                crate::Sense::Min
             };
-            p.add_constraint(&terms, rel, num(rhs));
+            lps.push(Problem::new(num_vars, sense));
+            continue;
         }
-        lps.push(p);
+        let p = lps.last_mut().unwrap();
+        match key {
+            "OBJ" => {
+                let obj: Vec<(usize, f64)> = items(rest, ", ").map(num).enumerate().collect();
+                p.set_objective(&obj);
+            }
+            "UPPER" => {
+                for (j, ub) in items(rest, ", ").map(num).enumerate() {
+                    p.set_upper(j, ub);
+                }
+            }
+            "CON" => {
+                let (rel, rest) = rest.split_once(' ').unwrap();
+                let (terms, rhs) = rest.rsplit_once(" rhs=").unwrap();
+                let terms: Vec<(usize, f64)> = items(terms, "), (")
+                    .map(|t| {
+                        let (j, a) = t.trim_matches(['(', ')']).split_once(", ").unwrap();
+                        (j.parse().unwrap(), num(a))
+                    })
+                    .collect();
+                let rel = match rel {
+                    "Le" => Relation::Le,
+                    "Ge" => Relation::Ge,
+                    _ => Relation::Eq,
+                };
+                p.add_constraint(&terms, rel, num(rhs));
+            }
+            _ => panic!("unknown repro line: {line}"),
+        }
     }
     lps
 }
