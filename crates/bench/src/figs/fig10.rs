@@ -52,7 +52,7 @@ pub fn run_fig() {
                         cluster,
                         jobs,
                         SchedulerKind::TetriumWith(TetriumConfig {
-                            wan: WanKnob::new(rho),
+                            wan: WanKnob::new(rho).expect("the rho sweep is finite"),
                             ..TetriumConfig::default()
                         }),
                         10,

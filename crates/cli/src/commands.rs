@@ -85,17 +85,17 @@ fn scheduler_kind(
     epsilon: f64,
     plan_cache: PlanCacheMode,
 ) -> Result<SchedulerKind, String> {
-    // NaN fails every comparison below, and `WanKnob::new` keeps it.
-    for (flag, value) in [("rho", rho), ("epsilon", epsilon)] {
-        if !value.is_finite() {
-            return Err(format!("--{flag} must be a finite number, got {value}"));
-        }
+    let wan =
+        WanKnob::new(rho).ok_or_else(|| format!("--rho must be a finite number, got {rho}"))?;
+    // NaN fails every comparison below.
+    if !epsilon.is_finite() {
+        return Err(format!("--epsilon must be a finite number, got {epsilon}"));
     }
     let custom = rho < 1.0 || epsilon < 1.0 || plan_cache != PlanCacheMode::Off;
     match name {
         "tetrium" if !custom => Ok(SchedulerKind::Tetrium),
         "tetrium" => Ok(SchedulerKind::TetriumWith(TetriumConfig {
-            wan: WanKnob::new(rho),
+            wan,
             epsilon,
             plan_cache,
             ..TetriumConfig::default()
@@ -749,6 +749,40 @@ mod tests {
         assert!(scheduler_kind("alien", 1.0, 1.0, PlanCacheMode::Off).is_err());
         assert!(cluster_preset("mars", 0).is_err());
         assert!(plan_cache_mode("sometimes").is_err());
+
+        // Deserialization skips the constructors' checks, so a hand-edited
+        // scenario must fail `Scenario::validate`, not panic in the engine.
+        let dir = std::env::temp_dir().join("tetrium_cli_bad_scenario_test");
+        let _ = std::fs::create_dir_all(&dir);
+        let cluster = tetrium::cluster::ec2_eight_regions();
+        let mut rng = StdRng::seed_from_u64(3);
+        let jobs = trace_like_jobs(&cluster, 2, &TraceParams::default(), &mut rng);
+        let good = Scenario::new("bad-inputs", cluster, jobs).unwrap();
+        let mut zero_bandwidth = good.clone();
+        let mut sites: Vec<_> = good.cluster.iter().map(|(_, s)| s.clone()).collect();
+        sites[0].up_gbps = 0.0;
+        zero_bandwidth.cluster = Cluster::new(sites);
+        let mut no_stages = good.clone();
+        no_stages.jobs[0].stages.clear();
+        let mut negative_ratio = good.clone();
+        negative_ratio.jobs[0].stages[0].output_ratio = -1.0;
+        let mut negative_input = good.clone();
+        let input = negative_input.jobs[0].stages[0].input.as_mut().unwrap();
+        *input.at_mut(tetrium::cluster::SiteId(0)) = -1.0;
+        for (case, scenario) in [
+            ("zero_bandwidth", zero_bandwidth),
+            ("no_stages", no_stages),
+            ("negative_ratio", negative_ratio),
+            ("negative_input", negative_input),
+        ] {
+            let path = dir.join(format!("{case}.json"));
+            std::fs::write(&path, scenario.to_json().unwrap()).unwrap();
+            for cmd in ["run", "serve", "compare"] {
+                let err = dispatch(&svp(&[cmd, "--scenario"], &[&path])).unwrap_err();
+                assert!(err.starts_with("invalid scenario: "), "{case} {cmd}: {err}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     /// `--rho nan` alone used to run ρ = 1 (NaN fails `rho < 1.0`), and

@@ -21,11 +21,22 @@ impl DataDistribution {
     ///
     /// Panics if any volume is negative or non-finite.
     pub fn new(gb: Vec<f64>) -> Self {
-        assert!(
-            gb.iter().all(|v| v.is_finite() && *v >= 0.0),
-            "data volumes must be finite and non-negative"
-        );
-        Self { gb }
+        let d = Self { gb };
+        if let Err(e) = d.validate() {
+            panic!("{e}");
+        }
+        d
+    }
+
+    /// Checks that every volume is finite and non-negative.
+    /// Deserialization skips [`DataDistribution::new`], so scenario loading
+    /// calls this.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.gb.iter().all(|v| v.is_finite() && *v >= 0.0) {
+            Ok(())
+        } else {
+            Err("data volumes must be finite and non-negative".into())
+        }
     }
 
     /// An all-zero distribution over `n` sites.

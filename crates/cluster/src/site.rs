@@ -6,8 +6,22 @@ use serde::{Deserialize, Serialize};
 ///
 /// Site ids are dense indices (`0..cluster.len()`), which lets every data
 /// structure in the workspace use plain vectors indexed by site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SiteId(pub usize);
+
+// `Ord` by hand: a derived `PartialOrd` calls `partial_cmp`, which
+// clippy.toml bans (L2).
+impl Ord for SiteId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for SiteId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl SiteId {
     /// The dense index of this site.
@@ -44,24 +58,34 @@ impl Site {
     ///
     /// # Panics
     ///
-    /// Panics if a bandwidth is non-positive or non-finite, or if the site
-    /// has zero slots (a site that can hold data but never compute is
-    /// expressed with data distributions, not zero slots).
+    /// Panics if [`Site::validate`] rejects the capacities.
     pub fn new(name: impl Into<String>, slots: usize, up_gbps: f64, down_gbps: f64) -> Self {
-        assert!(slots > 0, "a site must have at least one slot");
-        assert!(
-            up_gbps > 0.0 && up_gbps.is_finite(),
-            "uplink bandwidth must be positive and finite"
-        );
-        assert!(
-            down_gbps > 0.0 && down_gbps.is_finite(),
-            "downlink bandwidth must be positive and finite"
-        );
-        Self {
+        let site = Self {
             name: name.into(),
             slots,
             up_gbps,
             down_gbps,
+        };
+        if let Err(e) = site.validate() {
+            panic!("{e}");
+        }
+        site
+    }
+
+    /// Checks the capacities: at least one slot (a site that can hold data
+    /// but never compute is expressed with data distributions, not zero
+    /// slots) and positive, finite bandwidths. Deserialization skips
+    /// [`Site::new`], so scenario loading calls this.
+    pub fn validate(&self) -> Result<(), String> {
+        let (up, down) = (self.up_gbps, self.down_gbps);
+        if self.slots == 0 {
+            Err("a site must have at least one slot".into())
+        } else if !(up > 0.0 && up.is_finite() && down > 0.0 && down.is_finite()) {
+            Err(format!(
+                "uplink {up} and downlink {down} GB/s must be positive and finite"
+            ))
+        } else {
+            Ok(())
         }
     }
 }

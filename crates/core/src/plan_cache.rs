@@ -32,6 +32,7 @@
 
 use crate::map_placement::{assemble_map, MapPlacement, MapProblem};
 use crate::reduce_placement::{ReducePlacement, ReduceProblem};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use tetrium_jobs::largest_remainder_round;
 
@@ -73,7 +74,7 @@ impl CacheStats {
 
 /// Structural fingerprint: two placement problems with equal template
 /// signatures build LPs over the same constraint skeleton.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemplateSig {
     /// 0 = map, 1 = reduce.
     kind: u8,
@@ -98,7 +99,7 @@ pub type PlanKey = (TemplateSig, BucketSig);
 /// Numeric fingerprint: quantized continuous inputs. Same template + same
 /// bucket means the drift is mild enough that rescaling the cached
 /// fractional split is a sound plan.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BucketSig {
     /// Per-site share of the total data volume, in 1/32 steps.
     data: Vec<u8>,
@@ -120,6 +121,51 @@ pub struct BucketSig {
     up: Vec<i16>,
     /// Downlink half-octaves per site.
     down: Vec<i16>,
+}
+
+// `Ord` by hand for both signatures: a derived `PartialOrd` calls
+// `partial_cmp`, which clippy.toml bans (L2). Each compares every field,
+// in declaration order, so it agrees with the derived `Eq`.
+impl Ord for TemplateSig {
+    fn cmp(&self, o: &Self) -> Ordering {
+        (
+            self.kind,
+            self.stage_index,
+            self.sites,
+            self.lookahead,
+            self.flags,
+        )
+            .cmp(&(o.kind, o.stage_index, o.sites, o.lookahead, o.flags))
+    }
+}
+
+impl PartialOrd for TemplateSig {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for BucketSig {
+    fn cmp(&self, o: &Self) -> Ordering {
+        (&self.data, &self.tasks, self.wan, self.ratio_q, &self.slots)
+            .cmp(&(&o.data, &o.tasks, o.wan, o.ratio_q, &o.slots))
+            .then_with(|| {
+                (
+                    self.vol_oct,
+                    self.task_oct,
+                    self.secs_oct,
+                    &self.up,
+                    &self.down,
+                )
+                    .cmp(&(o.vol_oct, o.task_oct, o.secs_oct, &o.up, &o.down))
+            })
+    }
+}
+
+impl PartialOrd for BucketSig {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Share of `total` in 1/32 steps.

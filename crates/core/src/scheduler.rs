@@ -1239,7 +1239,7 @@ mod tests {
     #[test]
     fn rho_zero_keeps_map_tasks_local() {
         let cfg = TetriumConfig {
-            wan: WanKnob::new(0.0),
+            wan: WanKnob::new(0.0).unwrap(),
             ..TetriumConfig::default()
         };
         let mut sched = TetriumScheduler::new(cfg);
@@ -1437,7 +1437,7 @@ mod tests {
     #[test]
     fn stale_cached_plan_is_invalidated_when_wan_budget_is_consumed() {
         let cfg = TetriumConfig {
-            wan: WanKnob::new(0.3), // 30 GB budget over the 100 GB stage.
+            wan: WanKnob::new(0.3).unwrap(), // 30 GB budget over the 100 GB stage.
             ..TetriumConfig::default()
         };
         let mut sched = TetriumScheduler::new(cfg);
@@ -1478,7 +1478,7 @@ mod tests {
     #[test]
     fn cached_plan_still_reused_when_budget_intact() {
         let cfg = TetriumConfig {
-            wan: WanKnob::new(0.3),
+            wan: WanKnob::new(0.3).unwrap(),
             ..TetriumConfig::default()
         };
         let mut sched = TetriumScheduler::new(cfg);

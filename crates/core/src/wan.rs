@@ -16,9 +16,11 @@ use tetrium_lp::{Problem, Relation};
 pub struct WanKnob(f64);
 
 impl WanKnob {
-    /// Creates a knob value, clamping into `[0, 1]`.
-    pub fn new(rho: f64) -> Self {
-        Self(rho.clamp(0.0, 1.0))
+    /// Creates a knob value, clamping into `[0, 1]`; `None` for a
+    /// non-finite `rho` (`clamp` keeps a NaN, which would zero every map
+    /// WAN budget).
+    pub fn new(rho: f64) -> Option<Self> {
+        rho.is_finite().then(|| Self(rho.clamp(0.0, 1.0)))
     }
 
     /// The knob value.
@@ -77,17 +79,24 @@ mod tests {
 
     #[test]
     fn knob_clamps() {
-        assert_eq!(WanKnob::new(2.0).rho(), 1.0);
-        assert_eq!(WanKnob::new(-1.0).rho(), 0.0);
-        assert!(WanKnob::new(1.0).is_unbounded());
-        assert!(!WanKnob::new(0.99).is_unbounded());
+        assert_eq!(WanKnob::new(2.0).unwrap().rho(), 1.0);
+        assert_eq!(WanKnob::new(-1.0).unwrap().rho(), 0.0);
+        assert!(WanKnob::new(1.0).unwrap().is_unbounded());
+        assert!(!WanKnob::new(0.99).unwrap().is_unbounded());
+    }
+
+    #[test]
+    fn knob_rejects_non_finite_rho() {
+        for rho in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(WanKnob::new(rho), None, "{rho}");
+        }
     }
 
     #[test]
     fn budget_interpolates() {
-        let w0 = wan_budget(WanKnob::new(0.0), 10.0, 50.0);
-        let whalf = wan_budget(WanKnob::new(0.5), 10.0, 50.0);
-        let w1 = wan_budget(WanKnob::new(1.0), 10.0, 50.0);
+        let w0 = wan_budget(WanKnob::new(0.0).unwrap(), 10.0, 50.0);
+        let whalf = wan_budget(WanKnob::new(0.5).unwrap(), 10.0, 50.0);
+        let w1 = wan_budget(WanKnob::new(1.0).unwrap(), 10.0, 50.0);
         assert_eq!(w0, 10.0);
         assert_eq!(whalf, 30.0);
         assert_eq!(w1, 50.0);

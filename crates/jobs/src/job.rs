@@ -5,8 +5,22 @@ use serde::{Deserialize, Serialize};
 use tetrium_cluster::Cluster;
 
 /// Identifier of a job within a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct JobId(pub usize);
+
+// `Ord` by hand: a derived `PartialOrd` calls `partial_cmp`, which
+// clippy.toml bans (L2).
+impl Ord for JobId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for JobId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl JobId {
     /// Dense index of this job.
@@ -39,31 +53,60 @@ impl Job {
     ///
     /// # Panics
     ///
-    /// Panics if there are no stages, if a dependency points at itself or a
-    /// later stage (i.e. the vector is not in topological order), or if a
-    /// non-root stage lists a dependency out of range.
+    /// Panics if [`Job::validate`] rejects the job.
     pub fn new(id: JobId, name: impl Into<String>, arrival: f64, stages: Vec<Stage>) -> Self {
-        assert!(!stages.is_empty(), "a job needs at least one stage");
-        assert!(arrival >= 0.0 && arrival.is_finite());
-        for (i, s) in stages.iter().enumerate() {
-            for &d in &s.deps {
-                assert!(d < i, "stage {i} depends on {d}, not topologically ordered");
-            }
-            if s.is_root() {
-                assert!(
-                    s.input.is_some(),
-                    "root stage {i} must carry an external input distribution"
-                );
-            } else {
-                assert!(s.input.is_none(), "non-root stage {i} must not carry input");
-            }
-        }
-        Self {
+        let job = Self {
             id,
             name: name.into(),
             arrival,
             stages,
+        };
+        if let Err(e) = job.validate() {
+            panic!("{e}");
         }
+        job
+    }
+
+    /// Checks the job: at least one stage, a finite non-negative arrival,
+    /// stages in topological order (every dependency points at an earlier
+    /// stage), an external input on exactly the root stages, and per stage
+    /// at least one task, a finite non-negative task time and output ratio,
+    /// and one finite non-negative weight per task when key skew is set.
+    /// Deserialization skips [`Job::new`], so scenario loading calls this.
+    pub fn validate(&self) -> Result<(), String> {
+        let ok = |v: f64| v >= 0.0 && v.is_finite();
+        if self.stages.is_empty() {
+            return Err("a job needs at least one stage".into());
+        }
+        if !ok(self.arrival) {
+            return Err(format!(
+                "arrival {} must be finite and non-negative",
+                self.arrival
+            ));
+        }
+        for (i, s) in self.stages.iter().enumerate() {
+            let bad_weights = s
+                .task_weights
+                .as_ref()
+                .is_some_and(|w| w.len() != s.num_tasks || !w.iter().all(|&x| ok(x)));
+            let problem = if let Some(d) = s.deps.iter().find(|&&d| d >= i) {
+                format!("depends on {d}, not topologically ordered")
+            } else if s.is_root() != s.input.is_some() {
+                "must carry an external input exactly when it is a root".into()
+            } else if s.num_tasks == 0 {
+                "needs at least one task".into()
+            } else if !ok(s.task_secs) || !ok(s.output_ratio) {
+                "task_secs and output_ratio must be finite and non-negative".into()
+            } else if bad_weights {
+                "task_weights needs one finite non-negative weight per task".into()
+            } else if let Some(Err(e)) = s.input.as_ref().map(|d| d.validate()) {
+                e
+            } else {
+                continue;
+            };
+            return Err(format!("stage {i}: {problem}"));
+        }
+        Ok(())
     }
 
     /// Number of stages.

@@ -8,6 +8,10 @@
 //! on. The result is the from-scratch fill's rates bit for bit; the tests
 //! check it against a naive reference fill.
 
+// L4 (DESIGN.md §10.1): a lossy `as` cast goes through a named helper
+// under `#[expect]`; an inline one in this file fails clippy.
+#![warn(clippy::cast_possible_truncation)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tetrium_cluster::SiteId;
@@ -134,6 +138,29 @@ fn key(level: f64) -> u64 {
 #[inline]
 fn pack(k: u64, link: usize) -> u128 {
     ((k as u128) << 64) | link as u128
+}
+
+/// Splits a [`pack`]ed pair back into `(level key, link)`.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "each half of the u128 holds one field whole"
+)]
+fn unpack(packed: u128) -> (u64, usize) {
+    ((packed >> 64) as u64, packed as u64 as usize)
+}
+
+/// Narrows an index or count to the `u32` the record's fields store. Every
+/// caller's value fits: site, link and group indices and record lengths
+/// are bounded by the group count, far below 2³², and group counts by the
+/// `u32::MAX` check in [`Waterfiller::set_count`].
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "callers' values are below u32::MAX (see doc comment)"
+)]
+fn ix(i: usize) -> u32 {
+    i as u32
 }
 
 /// "No step" / "no update" marker in the `u32` index fields.
@@ -325,11 +352,11 @@ impl Waterfiller {
         }
         let (up, down) = (src, n + dst);
         if old == 0 {
-            self.groups[g].src = src as u32;
-            self.groups[g].dst = dst as u32;
+            self.groups[g].src = ix(src);
+            self.groups[g].dst = ix(dst);
             for l in [up, down] {
                 let pos = self.members[l].partition_point(|&x| (x as usize) < g);
-                self.members[l].insert(pos, g as u32);
+                self.members[l].insert(pos, ix(g));
             }
         } else {
             let rec = self.groups[g];
@@ -349,7 +376,7 @@ impl Waterfiller {
             self.mark_dirty(l);
         }
         assert!(self.total[up].max(self.total[down]) <= u32::MAX as usize);
-        self.groups[g].count = count as u32;
+        self.groups[g].count = ix(count);
     }
 
     /// Number of refills that did work so far.
@@ -375,7 +402,7 @@ impl Waterfiller {
 
         // The resume step: no later than the first pop of a dirty link,
         // nor than the first step a dirty link's replayed key precedes.
-        let mut resume = self.steps.len() as u32;
+        let mut resume = ix(self.steps.len());
         for &d in &self.dirty_links {
             resume = resume.min(self.pop_step[d]);
         }
@@ -391,7 +418,7 @@ impl Waterfiller {
             None => (self.freeze_log.len(), self.updates.len()),
         };
         for s in &self.steps[resume as usize..] {
-            self.pop_step[s.packed as u64 as usize] = NONE;
+            self.pop_step[unpack(s.packed).1] = NONE;
         }
         self.steps.truncate(resume as usize);
         for u in self.updates[first_update..].iter().rev() {
@@ -507,7 +534,7 @@ impl Waterfiller {
                 let u = &mut self.updates[self.chain[i] as usize];
                 act -= u.count as usize;
                 rem = (rem - self.steps[u.step as usize].level * u.count as f64).max(0.0);
-                u.act = act as u32;
+                u.act = ix(act);
                 u.rem = rem;
             }
         } else if let Some(u) = self.updates.get(self.last_update[l] as usize) {
@@ -540,7 +567,7 @@ impl Waterfiller {
             ..
         } = self;
         while let Some(Reverse(packed)) = heap.pop() {
-            let (stored, l) = ((packed >> 64) as u64, packed as u64 as usize);
+            let (stored, l) = unpack(packed);
             if act[l] == 0 {
                 continue;
             }
@@ -553,12 +580,12 @@ impl Waterfiller {
             // Freeze every unfrozen group crossing link `l` at this level;
             // only the other link of each needs its state updated.
             let level = exact;
-            let step = steps.len() as u32;
+            let step = ix(steps.len());
             steps.push(Step {
                 packed: pack(key(exact), l),
                 level,
-                first_freeze: freeze_log.len() as u32,
-                first_update: updates.len() as u32,
+                first_freeze: ix(freeze_log.len()),
+                first_update: ix(updates.len()),
             });
             pop_step[l] = step;
             for &g in &members[l] {
@@ -579,13 +606,13 @@ impl Waterfiller {
                 rem[m] = (rem[m] - level * count as f64).max(0.0);
                 updates.push(Update {
                     step,
-                    link: m as u32,
+                    link: ix(m),
                     prev: last_update[m],
                     count: rec.count,
-                    act: act[m] as u32,
+                    act: ix(act[m]),
                     rem: rem[m],
                 });
-                last_update[m] = (updates.len() - 1) as u32;
+                last_update[m] = ix(updates.len() - 1);
                 // The other link almost never needs a re-push: the entry
                 // behind `best_key[m]` is still at or below the new level
                 // (levels are monotone over the fill), and the
@@ -991,11 +1018,7 @@ mod tests {
         m.set_count(3, 1, 1);
         m.set_count(3, 2, 2);
         assert_eq!(m.refill_and_check("first fill"), 4);
-        let order: Vec<usize> =
-            m.wf.steps
-                .iter()
-                .map(|s| s.packed as u64 as usize)
-                .collect();
+        let order: Vec<usize> = m.wf.steps.iter().map(|s| unpack(s.packed).1).collect();
         assert_eq!(order, [0, 6, 7]);
         m
     }

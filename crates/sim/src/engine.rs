@@ -1,5 +1,9 @@
 //! The discrete-event engine: event loop, task launching, dispatch.
 
+// L4 (DESIGN.md §10.1): a lossy `as` cast goes through a named helper
+// under `#[expect]`; an inline one in this file fails clippy.
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::config::{BatchPolicy, EngineConfig};
 use crate::event::{Event, EventQueue};
 use crate::report::{JobOutcome, RunReport, TaskTrace};
@@ -128,8 +132,11 @@ pub struct Engine {
 /// confined to one documented helper so the engine hot path carries no
 /// inline lossy casts; task counts sit far below f64's exact-integer range,
 /// so the product and its ceiling are exact.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "documented rounding helper (see doc comment)"
+)]
 fn copy_cap(tasks: usize, frac: f64) -> usize {
-    // lint:allow(L4) -- documented rounding helper (see doc comment)
     ((tasks as f64 * frac).ceil() as usize).max(1)
 }
 

@@ -75,7 +75,8 @@ impl Scenario {
         Ok(s)
     }
 
-    /// Checks internal consistency.
+    /// Checks internal consistency, including every check the site, job
+    /// and data constructors make (deserialization skips them).
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.version != 1 {
             return Err(ScenarioError::Invalid(format!(
@@ -83,7 +84,16 @@ impl Scenario {
                 self.version
             )));
         }
+        if self.cluster.is_empty() {
+            return Err(ScenarioError::Invalid("the cluster has no sites".into()));
+        }
+        for (id, site) in self.cluster.iter() {
+            site.validate()
+                .map_err(|e| ScenarioError::Invalid(format!("{id}: {e}")))?;
+        }
         for job in &self.jobs {
+            job.validate()
+                .map_err(|e| ScenarioError::Invalid(format!("{}: {e}", job.id)))?;
             if !job.matches_cluster(&self.cluster) {
                 return Err(ScenarioError::Invalid(format!(
                     "job {} input does not cover the cluster's {} sites",
@@ -180,5 +190,16 @@ mod tests {
         let dup = s.jobs[0].clone();
         s.jobs.push(dup);
         assert!(s.validate().is_err());
+    }
+
+    /// The committed fixture CI feeds to `tetrium-cli run --scenario`.
+    #[test]
+    fn rejects_the_zero_bandwidth_fixture() {
+        let json = include_str!("../tests/fixtures/zero_bandwidth_scenario.json");
+        let err = Scenario::from_json(json).unwrap_err().to_string();
+        assert!(
+            err.starts_with("invalid scenario: site-0: uplink 0 "),
+            "{err}"
+        );
     }
 }

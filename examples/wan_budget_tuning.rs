@@ -28,7 +28,7 @@ fn main() {
             cluster.clone(),
             jobs.clone(),
             SchedulerKind::TetriumWith(TetriumConfig {
-                wan: WanKnob::new(rho),
+                wan: WanKnob::new(rho).expect("the rho sweep is finite"),
                 ..TetriumConfig::default()
             }),
             EngineConfig::default(),

@@ -9,11 +9,12 @@
 //! ordinary tests: each call is harmless here.
 //!
 //! There is no probe for the crate-level `#![warn(clippy::unwrap_used, …)]`
-//! in the sim-facing crates, nor for `iter_over_hash_type` in the root
-//! `Cargo.toml`. Those are restriction lints, and an `#[expect]` on a
-//! restriction lint turns that lint on where it stands, so such a probe
-//! would pass with the crate or workspace setting deleted and prove
-//! nothing about it.
+//! in the sim-facing crates, for the ledger files'
+//! `#![warn(clippy::cast_possible_truncation)]`, nor for
+//! `iter_over_hash_type` in the root `Cargo.toml`. Those lints are off by
+//! default, and an `#[expect]` on such a lint turns it on where it stands,
+//! so such a probe would pass with the setting deleted and prove nothing
+//! about it.
 
 use std::collections::{HashMap, HashSet};
 
@@ -41,6 +42,12 @@ fn hash_map_values_is_banned() {
 fn hash_set_iter_is_banned() {
     let s: HashSet<u32> = HashSet::from([1]);
     assert_eq!(s.iter().next(), Some(&1));
+}
+
+#[test]
+#[expect(clippy::disallowed_methods, reason = "probe")]
+fn partial_cmp_is_banned() {
+    assert_eq!(1.0_f64.partial_cmp(&2.0), Some(std::cmp::Ordering::Less));
 }
 
 #[test]

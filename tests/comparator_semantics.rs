@@ -1,7 +1,7 @@
 //! Regression pin for the workspace-wide `partial_cmp().unwrap()` →
-//! `f64::total_cmp` conversion (lint rule L2): on the NaN-free inputs the
-//! simulator produces, the two comparators induce identical sort orders, so
-//! swapping them cannot move any figure output. The one documented
+//! `f64::total_cmp` conversion (the `partial_cmp` ban in clippy.toml): on
+//! the NaN-free inputs the simulator produces, the two comparators induce
+//! identical sort orders, so swapping them cannot move any figure output. The one documented
 //! divergence is mixed-sign zeros (`total_cmp` orders `-0.0 < 0.0`, while
 //! `partial_cmp` calls them equal); there the orders are still numerically
 //! identical.
@@ -9,11 +9,14 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this test exists to compare the two comparators"
+)]
 fn sort_both_ways(vals: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let mut by_total = vals.to_vec();
     by_total.sort_by(|a, b| a.total_cmp(b));
     let mut by_partial = vals.to_vec();
-    // lint:allow(L2) -- this test exists to compare the two comparators
     by_partial.sort_by(|a, b| a.partial_cmp(b).unwrap());
     (by_total, by_partial)
 }

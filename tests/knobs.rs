@@ -24,7 +24,7 @@ fn rho_zero_saves_wan() {
         run_workload(
             cluster.clone(),
             jobs.clone(),
-            tetrium_with(|c| c.wan = WanKnob::new(rho)),
+            tetrium_with(|c| c.wan = WanKnob::new(rho).unwrap()),
             EngineConfig::default(),
         )
         .unwrap()
@@ -53,7 +53,7 @@ fn rho_one_wins_when_compute_bound() {
         run_workload(
             fig4_cluster(),
             vec![fig4_job()],
-            tetrium_with(|c| c.wan = WanKnob::new(rho)),
+            tetrium_with(|c| c.wan = WanKnob::new(rho).unwrap()),
             EngineConfig::default(),
         )
         .unwrap()
@@ -77,7 +77,7 @@ fn rho_interpolates_wan_usage() {
         run_workload(
             cluster.clone(),
             jobs.clone(),
-            tetrium_with(|c| c.wan = WanKnob::new(rho)),
+            tetrium_with(|c| c.wan = WanKnob::new(rho).unwrap()),
             EngineConfig::default(),
         )
         .unwrap()

@@ -76,8 +76,8 @@ fn wan_knob_budget_endpoints_match_closed_forms() {
     let w_min = reduce_min_wan(&shuffle);
     assert!((w_min - reduce_min_wan_lp(&shuffle)).abs() < 1e-9);
     let total: f64 = shuffle.iter().sum();
-    assert_eq!(wan_budget(WanKnob::new(0.0), w_min, total), w_min);
-    assert_eq!(wan_budget(WanKnob::new(1.0), w_min, total), total);
+    assert_eq!(wan_budget(WanKnob::new(0.0).unwrap(), w_min, total), w_min);
+    assert_eq!(wan_budget(WanKnob::new(1.0).unwrap(), w_min, total), total);
 }
 
 /// A trace whose source and job names are not ASCII survives the JSON
