@@ -83,6 +83,33 @@ mod tests {
         }
     }
 
+    /// The site every task of a one-task-per-site map job lands on.
+    fn picked(spec: &[(usize, f64, f64)]) -> SiteId {
+        let snap = Snapshot {
+            now: 0.0,
+            sites: sites(spec),
+            jobs: vec![map_job(0, &vec![1; spec.len()], &vec![1.0; spec.len()])],
+        };
+        let plans = CentralizedScheduler::new().schedule(&snap);
+        let site = plans[0].assignments[0].site;
+        assert!(plans[0].assignments.iter().all(|a| a.site == site));
+        site
+    }
+
+    #[test]
+    fn target_is_most_slots_then_most_bandwidth_then_lowest_index() {
+        // Most slots wins over any bandwidth.
+        assert_eq!(picked(&[(10, 9.0, 9.0), (40, 1.0, 1.0)]), SiteId(1));
+        // Equal slots: the larger up + down bandwidth wins.
+        assert_eq!(picked(&[(10, 1.0, 1.0), (10, 9.0, 9.0)]), SiteId(1));
+        assert_eq!(picked(&[(10, 2.0, 5.0), (10, 3.0, 3.0)]), SiteId(0));
+        // Equal slots and bandwidth sum: the lowest index wins.
+        assert_eq!(
+            picked(&[(8, 9.0, 9.0), (10, 4.0, 5.0), (10, 5.0, 4.0)]),
+            SiteId(1)
+        );
+    }
+
     #[test]
     fn explicit_target_is_honored() {
         let snap = Snapshot {

@@ -11,7 +11,7 @@ use crate::runner::{cell, run_cells, Cell, CellFn};
 use crate::{banner, calibrated_trace, fifty_sites, quick_mode, trace_engine, write_record};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tetrium::cluster::{CapacityDrop, SiteId};
+use tetrium::cluster::{DynamicsChange, DynamicsEvent, DynamicsTimeline, SiteId};
 use tetrium::core::TetriumConfig;
 use tetrium::metrics::reduction_pct;
 use tetrium::sim::Engine;
@@ -35,11 +35,17 @@ pub fn run_fig() {
     let mut by_slots: Vec<usize> = (0..cluster.len()).collect();
     by_slots.sort_by_key(|&i| std::cmp::Reverse(cluster.site(SiteId(i)).slots));
     let targets: Vec<SiteId> = by_slots[..5].iter().map(|&i| SiteId(i)).collect();
-    let drops_for = |frac: f64, rng: &mut StdRng| -> Vec<CapacityDrop> {
-        targets
-            .iter()
-            .map(|&site| CapacityDrop::new(site, rng.gen_range(50.0..250.0), frac))
-            .collect()
+    let drops_for = |frac: f64, rng: &mut StdRng| -> DynamicsTimeline {
+        let keep = 1.0 - frac;
+        DynamicsTimeline::new(
+            targets
+                .iter()
+                .map(|&site| {
+                    let at = rng.gen_range(50.0..250.0);
+                    DynamicsEvent::new(site, at, DynamicsChange::Capacity { keep })
+                })
+                .collect(),
+        )
     };
     let fractions: &[f64] = if quick_mode() {
         &[0.1, 0.5]
@@ -60,7 +66,7 @@ pub fn run_fig() {
 
     // Drop schedules are derived per fraction up front (same rng stream as
     // before); every (fraction, scheduler) pair is then an independent cell.
-    let drop_sets: Vec<(f64, Vec<CapacityDrop>)> = fractions
+    let drop_sets: Vec<(f64, DynamicsTimeline)> = fractions
         .iter()
         .map(|&frac| {
             let mut drop_rng = StdRng::seed_from_u64(1100 + (frac * 10.0) as u64);
@@ -82,7 +88,7 @@ pub fn run_fig() {
                         SchedulerKind::InPlace.build(),
                         trace_engine(11),
                     )
-                    .with_drops(drops.clone())
+                    .with_dynamics(drops.clone())
                     .run()
                     .expect("in-place completes")
                 }
@@ -105,7 +111,7 @@ pub fn run_fig() {
                             .build(),
                             trace_engine(11),
                         )
-                        .with_drops(drops.clone())
+                        .with_dynamics(drops.clone())
                         .run()
                         .expect("tetrium completes")
                     }

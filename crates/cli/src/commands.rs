@@ -28,9 +28,9 @@ usage:
   tetrium-cli run      --scenario scenario.json | --trace trace.json --sites PRESET
                        [--scheduler tetrium|in-place|iridium|centralized|tetris|swag]
                        [--rho R] [--epsilon E] [--seed S] [--json out.json]
-                       [--plan-cache off|exact|full]
-                       [--chrome-trace trace.json] [--obs obs.json]
-                       [--obs-otel spans.json] [--dynamics timeline.json]
+                       [--plan-cache off|exact|full] [--dynamics timeline.json]
+                       [--obs obs.json] [--obs-otel spans.json]
+                       [--chrome-trace trace.json]   (each of the three records obs)
   tetrium-cli compare  --scenario scenario.json [--seed S]
   tetrium-cli serve    --scenario scenario.json [--shards N]
                        [--scheduler tetrium|in-place|iridium|centralized|tetris|swag]
@@ -263,8 +263,7 @@ fn run(args: &Args) -> Result<(), String> {
         .transpose()?;
 
     let mut cfg = EngineConfig::trace_like(seed);
-    cfg.record_trace = args.has("chrome-trace");
-    cfg.record_obs = args.has("obs") || args.has("obs-otel");
+    cfg.record_obs = args.has("obs") || args.has("obs-otel") || args.has("chrome-trace");
     let report = match dynamics {
         Some(timeline) => {
             run_workload_dynamic(scenario.cluster, scenario.jobs, kind, cfg, timeline)
@@ -305,7 +304,9 @@ fn run(args: &Args) -> Result<(), String> {
         println!("wrote {} (OTLP/JSON spans)", path.display());
     }
     if let Some(path) = args.get_path("chrome-trace") {
-        std::fs::write(path, tetrium::metrics::chrome_trace(&report.trace))
+        let obs = report.obs.as_ref().expect("record_obs was set");
+        let job_ids: Vec<_> = report.jobs.iter().map(|j| j.id).collect();
+        std::fs::write(path, tetrium::obs::chrome_trace(obs, &job_ids))
             .map_err(|e| e.to_string())?;
         println!(
             "wrote {} (load in chrome://tracing or Perfetto)",

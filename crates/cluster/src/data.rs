@@ -81,16 +81,6 @@ impl DataDistribution {
         &self.gb
     }
 
-    /// Fraction of the total volume at `site`; zero when the total is zero.
-    pub fn fraction_at(&self, site: SiteId) -> f64 {
-        let t = self.total();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.at(site) / t
-        }
-    }
-
     /// Scales every site's volume by `factor` (e.g. the intermediate/input
     /// ratio `alpha` when deriving shuffle data from input data).
     pub fn scaled(&self, factor: f64) -> Self {
@@ -117,10 +107,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_and_fractions() {
+    fn totals_and_scaling() {
         let d = DataDistribution::new(vec![20.0, 30.0, 50.0]);
         assert!((d.total() - 100.0).abs() < 1e-12);
-        assert!((d.fraction_at(SiteId(2)) - 0.5).abs() < 1e-12);
         assert!((d.scaled(0.5).total() - 50.0).abs() < 1e-12);
     }
 
@@ -133,9 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_total_fraction_is_zero() {
+    fn zero_volume_has_zero_skew() {
         let d = DataDistribution::zeros(3);
-        assert_eq!(d.fraction_at(SiteId(1)), 0.0);
         assert_eq!(d.skew_cv(), 0.0);
     }
 

@@ -1,83 +1,15 @@
 //! Resource dynamics: sudden capacity drops at sites (§4.2 of the paper).
 //!
-//! Two representations coexist:
-//!
-//! - [`CapacityDrop`] is the original single-shot degradation (compute and
-//!   network shrink together). [`CapacityDrop::apply`] rewrites a cluster
-//!   *before* a run — the legacy pre-run mode; the engine now also accepts
-//!   drops as mid-run events (`Engine::with_drops`), where they are
-//!   converted into a [`DynamicsTimeline`].
-//! - [`DynamicsTimeline`] is the general mid-run model: an ordered list of
-//!   [`DynamicsEvent`]s (capacity drops and recoveries, full site outages,
-//!   per-link bandwidth degradation) the engine applies at `at_time`
-//!   through its event queue. Targets are always computed against the
-//!   *configured baseline* site, so two events on one site do not compound.
+//! A [`DynamicsTimeline`] is an ordered list of [`DynamicsEvent`]s
+//! (capacity drops and recoveries, full site outages, per-link bandwidth
+//! degradation) the engine applies at `at_time` through its event queue
+//! (`Engine::with_dynamics`). The paper's Fig 11 drop of a fraction `f` of a
+//! site's compute and network is `DynamicsChange::Capacity { keep: 1 - f }`.
+//! Targets are always computed against the *configured baseline* site, so
+//! two events on one site do not compound.
 
 use crate::{Cluster, Site, SiteId};
 use serde::{Deserialize, Serialize};
-
-/// A capacity degradation event at one site.
-///
-/// The paper motivates these with higher-priority non-analytics load taking
-/// compute slots, and WAN link failures shrinking available bandwidth. A
-/// drop of `fraction` scales both compute and network capacity at the site
-/// to `1 - fraction` of the configured value (the experiment in Fig 11
-/// degrades both together).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CapacityDrop {
-    /// Site whose capacity drops.
-    pub site: SiteId,
-    /// Simulation time at which the drop takes effect, in seconds.
-    pub at_time: f64,
-    /// Fraction of capacity lost, in `[0, 1)`.
-    pub fraction: f64,
-}
-
-impl CapacityDrop {
-    /// Creates a drop event.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= fraction < 1` and `at_time >= 0`.
-    pub fn new(site: SiteId, at_time: f64, fraction: f64) -> Self {
-        assert!((0.0..1.0).contains(&fraction), "fraction must be in [0,1)");
-        assert!(at_time >= 0.0 && at_time.is_finite());
-        Self {
-            site,
-            at_time,
-            fraction,
-        }
-    }
-
-    /// Returns the degraded version of `site`'s configuration.
-    ///
-    /// Slots are rounded down but kept at a minimum of one, matching the
-    /// invariant that a live site can always run at least one task.
-    pub fn degraded(&self, site: &Site) -> Site {
-        let keep = 1.0 - self.fraction;
-        Site {
-            name: site.name.clone(),
-            slots: ((site.slots as f64 * keep).floor() as usize).max(1),
-            up_gbps: site.up_gbps * keep,
-            down_gbps: site.down_gbps * keep,
-        }
-    }
-
-    /// Applies this drop to a cluster, returning the degraded cluster.
-    pub fn apply(&self, cluster: &Cluster) -> Cluster {
-        let sites = cluster
-            .iter()
-            .map(|(id, s)| {
-                if id == self.site {
-                    self.degraded(s)
-                } else {
-                    s.clone()
-                }
-            })
-            .collect();
-        Cluster::new(sites)
-    }
-}
 
 /// One kind of mid-run resource change at a site.
 ///
@@ -92,8 +24,8 @@ impl CapacityDrop {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DynamicsChange {
     /// Scale compute slots and both links to `keep` of the baseline
-    /// (`0 < keep <= 1`). Slots round down but stay at least one — the
-    /// mid-run equivalent of [`CapacityDrop`] with `fraction = 1 - keep`.
+    /// (`0 < keep <= 1`). Slots round down but stay at least one, so a live
+    /// site can always run a task.
     Capacity {
         /// Fraction of baseline capacity kept.
         keep: f64,
@@ -293,24 +225,6 @@ impl DynamicsTimeline {
         tl
     }
 
-    /// Converts legacy [`CapacityDrop`]s into the equivalent timeline.
-    pub fn from_drops(drops: &[CapacityDrop]) -> Self {
-        Self::new(
-            drops
-                .iter()
-                .map(|d| {
-                    DynamicsEvent::new(
-                        d.site,
-                        d.at_time,
-                        DynamicsChange::Capacity {
-                            keep: 1.0 - d.fraction,
-                        },
-                    )
-                })
-                .collect(),
-        )
-    }
-
     /// Appends an event, keeping the timeline sorted.
     pub fn push(&mut self, ev: DynamicsEvent) {
         if let Err(e) = ev.validate() {
@@ -367,11 +281,13 @@ impl DynamicsTimeline {
 mod tests {
     use super::*;
 
+    fn capacity(keep: f64) -> DynamicsEvent {
+        DynamicsEvent::new(SiteId(0), 10.0, DynamicsChange::Capacity { keep })
+    }
+
     #[test]
     fn degradation_scales_all_capacities() {
-        let s = Site::new("x", 100, 2.0, 4.0);
-        let d = CapacityDrop::new(SiteId(0), 10.0, 0.3);
-        let g = d.degraded(&s);
+        let g = capacity(0.7).target(&Site::new("x", 100, 2.0, 4.0));
         assert_eq!(g.slots, 70);
         assert!((g.up_gbps - 1.4).abs() < 1e-12);
         assert!((g.down_gbps - 2.8).abs() < 1e-12);
@@ -379,27 +295,8 @@ mod tests {
 
     #[test]
     fn slots_never_drop_to_zero() {
-        let s = Site::new("x", 1, 2.0, 4.0);
-        let d = CapacityDrop::new(SiteId(0), 0.0, 0.9);
-        assert_eq!(d.degraded(&s).slots, 1);
-    }
-
-    #[test]
-    fn apply_touches_only_target_site() {
-        let c = Cluster::new(vec![
-            Site::new("a", 10, 1.0, 1.0),
-            Site::new("b", 10, 1.0, 1.0),
-        ]);
-        let d = CapacityDrop::new(SiteId(1), 5.0, 0.5);
-        let c2 = d.apply(&c);
-        assert_eq!(c2.site(SiteId(0)).slots, 10);
-        assert_eq!(c2.site(SiteId(1)).slots, 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn rejects_full_drop() {
-        CapacityDrop::new(SiteId(0), 0.0, 1.0);
+        let g = capacity(0.1).target(&Site::new("x", 1, 2.0, 4.0));
+        assert_eq!(g.slots, 1);
     }
 
     #[test]
@@ -454,19 +351,6 @@ mod tests {
         assert_eq!(t.slots, 10);
         assert_eq!(t.up_gbps, 0.0);
         assert!((t.down_gbps - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_drops_matches_degraded() {
-        let base = Site::new("x", 100, 2.0, 4.0);
-        let drop = CapacityDrop::new(SiteId(0), 10.0, 0.3);
-        let tl = DynamicsTimeline::from_drops(&[drop]);
-        assert_eq!(tl.len(), 1);
-        let converted = tl.events()[0].target(&base);
-        let legacy = drop.degraded(&base);
-        assert_eq!(converted.slots, legacy.slots);
-        assert!((converted.up_gbps - legacy.up_gbps).abs() < 1e-12);
-        assert!((converted.down_gbps - legacy.down_gbps).abs() < 1e-12);
     }
 
     #[test]

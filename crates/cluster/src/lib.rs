@@ -25,7 +25,7 @@ mod site;
 mod topology;
 
 pub use data::DataDistribution;
-pub use dynamics::{CapacityDrop, DynamicsChange, DynamicsEvent, DynamicsTimeline};
+pub use dynamics::{DynamicsChange, DynamicsEvent, DynamicsTimeline};
 pub use hetero::{sample_bandwidth_spread, sample_compute_spread, HeterogeneityProfile};
 pub use presets::{ec2_eight_regions, ec2_thirty_instances, trace_fifty_sites, zipf_cluster};
 pub use site::{Site, SiteId};

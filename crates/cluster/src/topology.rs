@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// The core network is congestion-free (paper §2.1): the only network
 /// constraints are each site's uplink and downlink. A `Cluster` is immutable
 /// configuration; mutable capacity state during a simulation (e.g. after a
-/// [`crate::CapacityDrop`]) lives in the engine.
+/// [`crate::DynamicsEvent`]) lives in the engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cluster {
     sites: Vec<Site>,
@@ -49,11 +49,6 @@ impl Cluster {
         self.sites.iter().enumerate().map(|(i, s)| (SiteId(i), s))
     }
 
-    /// All site ids in index order.
-    pub fn site_ids(&self) -> impl Iterator<Item = SiteId> {
-        (0..self.sites.len()).map(SiteId)
-    }
-
     /// Total number of compute slots across all sites.
     pub fn total_slots(&self) -> usize {
         self.sites.iter().map(|s| s.slots).sum()
@@ -64,32 +59,10 @@ impl Cluster {
         self.sites.iter().map(|s| s.slots).collect()
     }
 
-    /// The site with the most compute slots (ties broken by lowest id);
-    /// used by the Centralized baseline as the aggregation target.
-    pub fn most_powerful_site(&self) -> SiteId {
-        let (idx, _) = self
-            .sites
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| {
-                a.slots
-                    .cmp(&b.slots)
-                    .then_with(|| (a.up_gbps + a.down_gbps).total_cmp(&(b.up_gbps + b.down_gbps)))
-                    .then(ib.cmp(ia))
-            })
-            .expect("cluster is non-empty");
-        SiteId(idx)
-    }
-
     /// Coefficient of variation of the per-site slot counts — the resource
     /// skew statistic used in §6.4 of the paper.
     pub fn slot_skew_cv(&self) -> f64 {
         cv(self.sites.iter().map(|s| s.slots as f64))
-    }
-
-    /// Coefficient of variation of the per-site uplink bandwidths.
-    pub fn bandwidth_skew_cv(&self) -> f64 {
-        cv(self.sites.iter().map(|s| s.up_gbps))
     }
 }
 
@@ -127,17 +100,6 @@ mod tests {
         assert_eq!(c.total_slots(), 70);
         assert_eq!(c.site(SiteId(1)).slots, 10);
         assert_eq!(c.slots_vec(), vec![40, 10, 20]);
-    }
-
-    #[test]
-    fn most_powerful_prefers_slots_then_bandwidth() {
-        let c = c3();
-        assert_eq!(c.most_powerful_site(), SiteId(0));
-        let tie = Cluster::new(vec![
-            Site::new("a", 10, 1.0, 1.0),
-            Site::new("b", 10, 9.0, 9.0),
-        ]);
-        assert_eq!(tie.most_powerful_site(), SiteId(1));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Jobs: DAGs of stages submitted to the global manager.
 
-use crate::{Stage, StageKind};
+use crate::Stage;
 use serde::{Deserialize, Serialize};
 use tetrium_cluster::Cluster;
 
@@ -157,17 +157,6 @@ impl Job {
         outs
     }
 
-    /// Stages with no dependents (the DAG's sinks).
-    pub fn sink_stages(&self) -> Vec<usize> {
-        let mut has_child = vec![false; self.stages.len()];
-        for s in &self.stages {
-            for &d in &s.deps {
-                has_child[d] = true;
-            }
-        }
-        (0..self.stages.len()).filter(|&i| !has_child[i]).collect()
-    }
-
     /// Checks every root-stage input covers exactly the cluster's sites.
     pub fn matches_cluster(&self, cluster: &Cluster) -> bool {
         self.stages
@@ -199,16 +188,6 @@ impl Job {
         ];
         Self::new(id, name, arrival, stages)
     }
-
-    /// Number of map-like and reduce-like stages.
-    pub fn stage_kind_counts(&self) -> (usize, usize) {
-        let maps = self
-            .stages
-            .iter()
-            .filter(|s| s.kind == StageKind::Map)
-            .count();
-        (maps, self.stages.len() - maps)
-    }
 }
 
 #[cfg(test)]
@@ -238,7 +217,6 @@ mod tests {
         assert!((j.input_gb() - 100.0).abs() < 1e-12);
         // Intermediate = 100 GB * 0.5 from the map stage.
         assert!((j.expected_intermediate_gb() - 50.0).abs() < 1e-12);
-        assert_eq!(j.sink_stages(), vec![1]);
     }
 
     #[test]
@@ -255,20 +233,6 @@ mod tests {
         assert!((outs[1] - 4.0).abs() < 1e-12);
         assert!((outs[2] - 0.8).abs() < 1e-12);
         assert!((j.expected_intermediate_gb() - 14.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn join_dag_sinks() {
-        let a = DataDistribution::new(vec![5.0, 5.0]);
-        let b = DataDistribution::new(vec![2.0, 8.0]);
-        let stages = vec![
-            Stage::root_map(a, 4, 1.0, 1.0),
-            Stage::root_map(b, 4, 1.0, 1.0),
-            Stage::reduce(vec![0, 1], 4, 1.0, 0.1),
-        ];
-        let j = Job::new(JobId(2), "join", 1.0, stages);
-        assert_eq!(j.sink_stages(), vec![2]);
-        assert_eq!(j.stage_kind_counts(), (2, 1));
     }
 
     #[test]

@@ -4,16 +4,14 @@
 //! (response time, slowdown, WAN usage), per-job reduction CDFs (Fig 8b),
 //! and gain distributions bucketed by workload characteristics (Fig 12).
 //! This crate holds the pure-math side of that reporting; runs come from
-//! [`tetrium_sim::RunReport`].
+//! [`tetrium_sim::RunReport`]. Per-run timeline diagnostics (slot busy
+//! time, utilization, the fetch/compute split, the Chrome trace export)
+//! read the run's obs record instead: see `tetrium_obs::ObsReport`.
 
 mod buckets;
 mod cdf;
-mod export;
 mod gains;
-mod timeline;
 
 pub use buckets::{bucket_by, Bucket};
 pub use cdf::Cdf;
-pub use export::chrome_trace;
 pub use gains::{jain_index, per_job_reduction, reduction_pct, slowdowns, wan_reduction_pct};
-pub use timeline::{copy_win_fraction, fetch_compute_split, site_busy_secs, site_utilization};

@@ -5,7 +5,10 @@
 //! transitions, per-site slot-occupancy and per-link utilization step
 //! timelines (sampled at event boundaries), scheduling-instance records,
 //! WAN bytes by `(src, dst)` pair, and counters for speculation, failure
-//! and capacity-drop events.
+//! and capacity-drop events. The task-event log is the run's only per-task
+//! record: [`ObsReport::task_records`] derives each task's winning attempt
+//! from it, and [`chrome_trace`] renders those attempts for
+//! `chrome://tracing`.
 //!
 //! The disabled handle is the default and costs one `Option` branch per
 //! emission point — the engine's hot path stays allocation-free (the
@@ -36,8 +39,10 @@
     clippy::indexing_slicing
 )]
 
+pub mod chrome;
 pub mod otel;
 
+pub use chrome::chrome_trace;
 pub use otel::{to_otel_json, to_otel_string, OTEL_SCOPE};
 
 use std::sync::{Arc, Mutex};
@@ -53,8 +58,9 @@ pub enum Trigger {
     StageDone,
     /// A slot was released mid-stage (batched per the §5 policy).
     SlotRelease,
-    /// A site's capacity dropped (§4.2).
-    CapacityDrop,
+    /// A dynamics-timeline capacity change scaled a site's slots and
+    /// links (§4.2).
+    Capacity,
     /// A dynamics-timeline event (outage, recovery, link degradation)
     /// changed the cluster's resources mid-run.
     Dynamics,
@@ -71,7 +77,7 @@ impl Trigger {
             Trigger::JobArrival => "job-arrival",
             Trigger::StageDone => "stage-done",
             Trigger::SlotRelease => "slot-release",
-            Trigger::CapacityDrop => "capacity-drop",
+            Trigger::Capacity => "capacity-drop",
             Trigger::Dynamics => "dynamics",
             Trigger::Failure => "failure",
             Trigger::IdleRetry => "idle-retry",
@@ -127,6 +133,40 @@ pub struct TaskEvent {
     pub phase: TaskPhaseEvent,
     /// Site of the attempt.
     pub site: SiteId,
+}
+
+/// One task's winning attempt, derived from the task-event log by
+/// [`ObsReport::task_records`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskRecord {
+    /// Job (dense engine index).
+    pub job: usize,
+    /// Stage index within the job.
+    pub stage: usize,
+    /// Task index within the stage.
+    pub task: usize,
+    /// Site the winning attempt ran at.
+    pub site: SiteId,
+    /// Time the attempt occupied a slot.
+    pub launched_at: f64,
+    /// Time its compute phase began (equals `launched_at` for local reads).
+    pub compute_started: f64,
+    /// Completion time.
+    pub finished_at: f64,
+    /// Whether a speculative copy produced the result.
+    pub was_copy: bool,
+}
+
+impl TaskRecord {
+    /// Seconds spent fetching input (slot occupied, not computing).
+    pub fn fetch_secs(&self) -> f64 {
+        (self.compute_started - self.launched_at).max(0.0)
+    }
+
+    /// Seconds spent computing.
+    pub fn compute_secs(&self) -> f64 {
+        (self.finished_at - self.compute_started).max(0.0)
+    }
 }
 
 /// One scheduling instance as seen from the engine.
@@ -279,8 +319,9 @@ impl ObsReport {
 
     /// Per-site busy slot-seconds over `[0, until]`, integrated from the
     /// occupancy step timeline. With failure injection and speculation off
-    /// this reconciles with `metrics::timeline::site_busy_secs` over the
-    /// run's trace; with them on it additionally counts losing attempts.
+    /// this reconciles with the slot time of [`ObsReport::task_records`]
+    /// (`finished_at - launched_at` summed per site); with them on it
+    /// additionally counts losing attempts.
     pub fn busy_secs(&self, until: f64) -> Vec<f64> {
         self.slot_timeline
             .iter()
@@ -345,6 +386,41 @@ impl ObsReport {
             }
         }
         (fetch, compute)
+    }
+
+    /// The winning attempt of every finished task, in `Done` order. Site,
+    /// copy flag and finish time come from the `Done` event; launch and
+    /// compute start from the latest `Fetching` and `Computing` of the same
+    /// `(job, stage, task, copy)` before it. A phase missing from the log
+    /// (drained mid-run by a serve subscriber) reads as the finish time.
+    pub fn task_records(&self) -> Vec<TaskRecord> {
+        use std::collections::HashMap;
+        let mut fetching: HashMap<(usize, usize, usize, bool), f64> = HashMap::new();
+        let mut computing: HashMap<(usize, usize, usize, bool), f64> = HashMap::new();
+        let mut records = Vec::new();
+        for e in &self.task_events {
+            let key = (e.job, e.stage, e.task, e.copy);
+            match e.phase {
+                TaskPhaseEvent::Fetching => {
+                    fetching.insert(key, e.t);
+                }
+                TaskPhaseEvent::Computing => {
+                    computing.insert(key, e.t);
+                }
+                TaskPhaseEvent::Done => records.push(TaskRecord {
+                    job: e.job,
+                    stage: e.stage,
+                    task: e.task,
+                    site: e.site,
+                    launched_at: fetching.remove(&key).unwrap_or(e.t),
+                    compute_started: computing.remove(&key).unwrap_or(e.t),
+                    finished_at: e.t,
+                    was_copy: e.copy,
+                }),
+                TaskPhaseEvent::Queued | TaskPhaseEvent::Failed | TaskPhaseEvent::Cancelled => {}
+            }
+        }
+        records
     }
 
     /// Nearest-rank `q`-quantile (0..=1) of the measured per-instance
@@ -735,6 +811,37 @@ mod tests {
         let (fetch, compute) = r.fetch_compute_split();
         assert!((fetch - 4.0).abs() < 1e-12);
         assert!((compute - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn task_records_take_the_latest_attempt_phases() {
+        let obs = Obs::recording(vec![2, 2]);
+        let (a, b) = (SiteId(0), SiteId(1));
+        // Original fails mid-compute at site 0, relaunches at site 1 and
+        // wins; a copy of task 1 wins over its original.
+        obs.task_event(0.0, 0, 0, 0, false, TaskPhaseEvent::Fetching, a);
+        obs.task_event(1.0, 0, 0, 0, false, TaskPhaseEvent::Computing, a);
+        obs.task_event(2.0, 0, 0, 0, false, TaskPhaseEvent::Failed, a);
+        obs.task_event(3.0, 0, 0, 0, false, TaskPhaseEvent::Fetching, b);
+        obs.task_event(4.0, 0, 0, 1, false, TaskPhaseEvent::Fetching, a);
+        obs.task_event(4.0, 0, 0, 1, false, TaskPhaseEvent::Computing, a);
+        obs.task_event(5.0, 0, 0, 0, false, TaskPhaseEvent::Computing, b);
+        obs.task_event(6.0, 0, 0, 1, true, TaskPhaseEvent::Fetching, b);
+        obs.task_event(6.5, 0, 0, 1, true, TaskPhaseEvent::Computing, b);
+        obs.task_event(7.0, 0, 0, 1, false, TaskPhaseEvent::Cancelled, a);
+        obs.task_event(7.0, 0, 0, 1, true, TaskPhaseEvent::Done, b);
+        obs.task_event(8.0, 0, 0, 0, false, TaskPhaseEvent::Done, b);
+        let recs = obs.finish().unwrap().task_records();
+        assert_eq!(recs.len(), 2);
+        let copy = recs[0];
+        assert_eq!((copy.task, copy.site, copy.was_copy), (1, b, true));
+        assert_eq!((copy.launched_at, copy.compute_started), (6.0, 6.5));
+        assert_eq!(copy.finished_at, 7.0);
+        let orig = recs[1];
+        assert_eq!((orig.task, orig.site, orig.was_copy), (0, b, false));
+        assert_eq!((orig.launched_at, orig.compute_started), (3.0, 5.0));
+        assert!((orig.fetch_secs() - 2.0).abs() < 1e-12);
+        assert!((orig.compute_secs() - 3.0).abs() < 1e-12);
     }
 
     #[test]

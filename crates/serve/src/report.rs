@@ -121,7 +121,6 @@ mod tests {
                 copies_won: 0,
                 task_failures: 0,
                 dynamics_events: 0,
-                trace: Vec::new(),
                 obs: None,
             },
         }

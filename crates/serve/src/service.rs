@@ -37,6 +37,9 @@ pub enum SubmitError {
     /// The job's root inputs do not cover exactly the service cluster's
     /// sites; the job is returned to the caller.
     ClusterMismatch(Box<Job>),
+    /// The job fails [`Job::validate`] (the reason is the second field);
+    /// the job is returned to the caller.
+    InvalidJob(Box<Job>, String),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -50,6 +53,9 @@ impl std::fmt::Display for SubmitError {
             }
             SubmitError::ClusterMismatch(job) => {
                 write!(f, "job {} input does not match the cluster", job.id)
+            }
+            SubmitError::InvalidJob(job, reason) => {
+                write!(f, "job {} is invalid: {reason}", job.id)
             }
         }
     }
@@ -189,6 +195,8 @@ impl TetriumService {
     /// Each returns the job:
     /// - [`SubmitError::ShuttingDown`] once [`TetriumService::shutdown`]
     ///   has been called;
+    /// - [`SubmitError::InvalidJob`] when the job fails [`Job::validate`]
+    ///   (the shard's engine would panic on it);
     /// - [`SubmitError::ClusterMismatch`] when the job's inputs do not
     ///   match the service cluster;
     /// - [`SubmitError::DuplicateJob`] when a job with the same id was
@@ -196,6 +204,9 @@ impl TetriumService {
     pub async fn submit(&self, job: Job) -> Result<SubmitReceipt, SubmitError> {
         if self.token.is_cancelled() {
             return Err(SubmitError::ShuttingDown(Box::new(job)));
+        }
+        if let Err(reason) = job.validate() {
+            return Err(SubmitError::InvalidJob(Box::new(job), reason));
         }
         if !job.matches_cluster(&self.cluster) {
             return Err(SubmitError::ClusterMismatch(Box::new(job)));

@@ -1,6 +1,6 @@
 //! End-to-end service tests: submission-order determinism under one epoch
 //! partition, merged multi-shard reports, graceful shutdown, and typed
-//! rejection of duplicate or mismatched submissions.
+//! rejection of duplicate, mismatched or invalid submissions.
 
 use tetrium_serve::{
     shard_of, Job, JobEvent, JobId, ServeConfig, SpanTap, SubmitError, TetriumService,
@@ -299,5 +299,36 @@ fn duplicate_job_id_is_rejected_and_the_shard_keeps_serving() {
             .filter(|&id| shard_of(JobId(id), shards) == home.shard)
             .collect();
         assert_eq!(ids, expected, "shard {} lost jobs", home.shard);
+    });
+}
+
+/// A job that fails `Job::validate` is turned away at `submit` (its shard
+/// worker would panic on it and `join` would lose the shard); the id is
+/// not claimed, and a valid job on the same service still finishes.
+#[test]
+fn invalid_jobs_are_rejected_and_the_service_keeps_serving() {
+    let rt = runtime();
+    rt.block_on(async {
+        let svc = TetriumService::start(&two_sites(), &ServeConfig::default());
+        let mut no_stages = job(20);
+        no_stages.stages.clear();
+        let mut nan_secs = job(21);
+        nan_secs.stages[0].task_secs = f64::NAN;
+        for bad in [no_stages, nan_secs] {
+            let id = bad.id;
+            match svc.submit(bad).await {
+                Err(SubmitError::InvalidJob(j, reason)) => {
+                    assert_eq!(j.id, id);
+                    assert!(!reason.is_empty());
+                }
+                other => panic!("invalid job {id} must be rejected, got {other:?}"),
+            }
+        }
+        svc.submit(job(20)).await.expect("valid job accepted");
+        let report = svc.join().await.expect("service run succeeds");
+        assert_eq!(report.total_jobs(), 1);
+        let jobs: Vec<_> = report.shards.iter().flat_map(|s| &s.report.jobs).collect();
+        assert_eq!(jobs[0].id, JobId(20));
+        assert!(jobs[0].response.is_finite() && jobs[0].response > 0.0);
     });
 }

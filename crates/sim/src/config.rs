@@ -76,11 +76,9 @@ pub struct EngineConfig {
     /// consecutive attempts is below 1e-9) but bounds the outage
     /// retry-with-re-placement loop.
     pub max_task_retries: usize,
-    /// Record a [`crate::report::TaskTrace`] per finished task in the run
-    /// report (timeline analysis; off by default to keep reports small).
-    pub record_trace: bool,
     /// Record an [`tetrium_obs::ObsReport`] of the run: task lifecycle
-    /// events, slot/link step-timelines, scheduling-instance records, WAN
+    /// events (the one per-task record; `ObsReport::task_records` derives
+    /// each task's winning attempt from them), slot/link step-timelines, scheduling-instance records, WAN
     /// bytes by site pair and speculation/failure counters. Off by default;
     /// the disabled sink costs one branch per emission point.
     pub record_obs: bool,
@@ -102,7 +100,6 @@ impl Default for EngineConfig {
             speculation: None,
             failure_prob: 0.0,
             max_task_retries: 32,
-            record_trace: false,
             record_obs: false,
             seed: 0,
         }
@@ -130,7 +127,6 @@ impl EngineConfig {
             // exactly from this configuration.
             failure_prob: 0.0,
             max_task_retries: 32,
-            record_trace: false,
             record_obs: false,
             seed,
         }

@@ -6,7 +6,7 @@
 
 use crate::config::{BatchPolicy, EngineConfig};
 use crate::event::{Event, EventQueue};
-use crate::report::{JobOutcome, RunReport, TaskTrace};
+use crate::report::{JobOutcome, RunReport};
 use crate::sched::{
     JobSnapshot, Scheduler, SiteState, Snapshot, StageSnapshot, TaskPhase, TaskSnapshot,
 };
@@ -17,7 +17,7 @@ use rand_distr::{Distribution, LogNormal};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
-use tetrium_cluster::{CapacityDrop, Cluster, DynamicsChange, DynamicsTimeline, SiteId};
+use tetrium_cluster::{Cluster, DynamicsChange, DynamicsTimeline, SiteId};
 use tetrium_jobs::{Job, JobId, StageKind};
 use tetrium_net::{FlowKey, FlowSim};
 use tetrium_obs::{Obs, SchedRecord, TaskPhaseEvent, Trigger};
@@ -111,7 +111,6 @@ pub struct Engine {
     copies_launched: usize,
     copies_won: usize,
     task_failures: usize,
-    trace: Vec<TaskTrace>,
     obs: Obs,
     /// Per-job flag: outcome already handed out by [`Engine::drain_finished`].
     reported_finished: Vec<bool>,
@@ -204,7 +203,6 @@ impl Engine {
             copies_launched: 0,
             copies_won: 0,
             task_failures: 0,
-            trace: Vec::new(),
             obs,
             reported_finished: vec![false; n_jobs],
             snapshot_scratch: Snapshot::default(),
@@ -229,14 +227,6 @@ impl Engine {
     /// Removes and returns the owner of a flow, if any.
     fn take_flow_owner(&mut self, key: FlowKey) -> Option<AttemptKey> {
         self.flow_owner.get_mut(key.index()).and_then(Option::take)
-    }
-
-    /// Adds capacity-drop events that fire during the run (§4.2).
-    ///
-    /// Legacy entry point: the drops are converted into the equivalent
-    /// [`DynamicsTimeline`] and merged with any timeline already set.
-    pub fn with_drops(self, drops: Vec<CapacityDrop>) -> Self {
-        self.with_dynamics(DynamicsTimeline::from_drops(&drops))
     }
 
     /// Merges a mid-run resource-dynamics timeline into the run: capacity
@@ -368,11 +358,6 @@ impl Engine {
         self.flows.total_wan_gb()
     }
 
-    /// Number of admitted jobs (finished or not).
-    pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Outcomes of jobs that finished since the last drain, in admission
     /// order. A front end polls this between [`Engine::step_until_idle`]
     /// calls to report completions without consuming the engine.
@@ -456,10 +441,8 @@ impl Engine {
         self.obs.dynamics_event();
         let trigger = match ev.change {
             DynamicsChange::Capacity { .. } => {
-                // Converted legacy `CapacityDrop`s keep emitting the counter
-                // and trigger they always did.
                 self.obs.capacity_drop();
-                Trigger::CapacityDrop
+                Trigger::Capacity
             }
             DynamicsChange::Outage => {
                 self.obs.site_outage();
@@ -615,13 +598,10 @@ impl Engine {
         let Some(win) = self.take_attempt(j, s, t, copy) else {
             return;
         };
-        let started = match win.phase {
-            Phase::Computing { started, done_at } if done_at == self.now => started,
-            _ => {
-                self.put_attempt(j, s, t, win);
-                return;
-            }
-        };
+        if !matches!(win.phase, Phase::Computing { done_at, .. } if done_at == self.now) {
+            self.put_attempt(j, s, t, win);
+            return;
+        }
         // Fail-over injection (§6.1 trace) draws once per original
         // completion and never for a copy. A failed original returns to the
         // pool; a live copy, if any, keeps running and may still complete
@@ -653,32 +633,17 @@ impl Engine {
             self.copies_won += 1;
             self.obs.copy_won();
         }
-        self.finish_task(j, s, t, &win, started);
+        self.finish_task(j, s, t, &win);
     }
 
-    /// Completion accounting for the winning attempt `win`, which began
-    /// computing at `started`: records the winner's own timeline (a winning
-    /// copy reports when *it* occupied a slot and started computing, so the
-    /// trace never shows a negative fetch phase), materializes the task's
-    /// output at its site, advances stage/job state and requests
-    /// scheduling.
-    fn finish_task(&mut self, j: usize, s: usize, t: usize, win: &Attempt, started: f64) {
+    /// Completion accounting for the winning attempt `win`: emits its
+    /// `Done` event, materializes the task's output at its site, advances
+    /// stage/job state and requests scheduling.
+    fn finish_task(&mut self, j: usize, s: usize, t: usize, win: &Attempt) {
         let site = win.site;
         let was_copy = win.copy.is_some();
         self.obs
             .task_event(self.now, j, s, t, was_copy, TaskPhaseEvent::Done, site);
-        if self.cfg.record_trace {
-            self.trace.push(TaskTrace {
-                job: self.jobs[j].job.id,
-                stage: s,
-                task: t,
-                site,
-                launched_at: win.launched_at,
-                compute_started: started,
-                finished_at: self.now,
-                was_copy,
-            });
-        }
         self.recent_secs.push_back(win.secs);
         if self.recent_secs.len() > 64 {
             self.recent_secs.pop_front();
@@ -932,7 +897,6 @@ impl Engine {
         let mut a = Attempt {
             site,
             secs,
-            launched_at: self.now,
             phase: Phase::Fetching { pending, queued },
             copy,
         };
@@ -1302,7 +1266,6 @@ impl Engine {
             copies_won: self.copies_won,
             task_failures: self.task_failures,
             dynamics_events: self.dynamics_applied,
-            trace: self.trace,
             obs: self.obs.finish(),
         }
     }
@@ -1444,7 +1407,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::sched::{StagePlan, TaskAssignment};
-    use tetrium_cluster::{DataDistribution, Site};
+    use tetrium_cluster::{DataDistribution, DynamicsEvent, Site};
     use tetrium_jobs::JobId;
 
     /// The serve front end moves engines onto pool threads; this fails to
@@ -1596,7 +1559,11 @@ mod tests {
             Box::new(LocalScheduler),
             EngineConfig::default(),
         )
-        .with_drops(vec![CapacityDrop::new(SiteId(0), 0.5, 0.5)])
+        .with_dynamics(DynamicsTimeline::new(vec![DynamicsEvent::new(
+            SiteId(0),
+            0.5,
+            DynamicsChange::Capacity { keep: 0.5 },
+        )]))
         .run()
         .unwrap();
         assert!(
@@ -1670,7 +1637,6 @@ mod tests {
 
         let mut eng = Engine::new(cluster2(), vec![], Box::new(LocalScheduler), cfg);
         eng.seed_initial_events();
-        assert_eq!(eng.num_jobs(), 0);
         assert!(eng.drain_finished().is_empty());
         eng.submit_job(mk(0, 0.0));
         eng.step_until_idle().unwrap();
@@ -1788,7 +1754,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_recording_captures_every_task() {
+    fn task_records_capture_every_task() {
         let input = DataDistribution::new(vec![2.0, 2.0]);
         let job = Job::map_reduce(JobId(0), "tr", 0.0, input, 4, 1.0, 0.5, 2, 1.0);
         let report = Engine::new(
@@ -1796,30 +1762,19 @@ mod tests {
             vec![job],
             Box::new(LocalScheduler),
             EngineConfig {
-                record_trace: true,
+                record_obs: true,
                 ..EngineConfig::default()
             },
         )
         .run()
         .unwrap();
-        assert_eq!(report.trace.len(), 6);
-        for t in &report.trace {
+        let records = report.obs.unwrap().task_records();
+        assert_eq!(records.len(), 6);
+        for t in &records {
             assert!(t.finished_at >= t.compute_started);
             assert!(t.compute_started >= t.launched_at - 1e-9);
             assert!(!t.was_copy);
         }
-        // Off by default.
-        let input = DataDistribution::new(vec![2.0, 2.0]);
-        let job = Job::map_reduce(JobId(0), "tr", 0.0, input, 4, 1.0, 0.5, 2, 1.0);
-        let r2 = Engine::new(
-            cluster2(),
-            vec![job],
-            Box::new(LocalScheduler),
-            EngineConfig::default(),
-        )
-        .run()
-        .unwrap();
-        assert!(r2.trace.is_empty());
     }
 
     #[test]
@@ -2018,47 +1973,6 @@ mod tests {
         .run()
         .unwrap();
         assert!(off.obs.is_none());
-    }
-
-    #[test]
-    fn with_drops_matches_equivalent_dynamics_timeline() {
-        use tetrium_cluster::{DynamicsChange, DynamicsEvent, DynamicsTimeline};
-        let mk = || {
-            let input = DataDistribution::new(vec![4.0, 0.0]);
-            Job::new(
-                JobId(0),
-                "m",
-                0.0,
-                vec![tetrium_jobs::Stage::root_map(input, 4, 1.0, 0.5)],
-            )
-        };
-        let legacy = Engine::new(
-            cluster2(),
-            vec![mk()],
-            Box::new(LocalScheduler),
-            EngineConfig::default(),
-        )
-        .with_drops(vec![CapacityDrop::new(SiteId(0), 0.5, 0.5)])
-        .run()
-        .unwrap();
-        let timeline = DynamicsTimeline::new(vec![DynamicsEvent::new(
-            SiteId(0),
-            0.5,
-            DynamicsChange::Capacity { keep: 0.5 },
-        )]);
-        let explicit = Engine::new(
-            cluster2(),
-            vec![mk()],
-            Box::new(LocalScheduler),
-            EngineConfig::default(),
-        )
-        .with_dynamics(timeline)
-        .run()
-        .unwrap();
-        assert_eq!(legacy.jobs[0].response, explicit.jobs[0].response);
-        assert_eq!(legacy.total_wan_gb, explicit.total_wan_gb);
-        assert_eq!(legacy.dynamics_events, 1);
-        assert_eq!(explicit.dynamics_events, 1);
     }
 
     #[test]
@@ -2296,11 +2210,11 @@ mod tests {
         );
     }
 
-    /// A winning copy's trace must carry the copy's own timeline, not the
+    /// A winning copy's record must carry the copy's own timeline, not the
     /// original's launch time glued to the copy's duration (which produced
     /// `compute_started < launched_at` and negative fetch times).
     #[test]
-    fn trace_invariants_hold_with_winning_copies() {
+    fn task_record_invariants_hold_with_winning_copies() {
         use crate::config::SpeculationConfig;
         let cluster = Cluster::new(vec![
             Site::new("a", 6, 1.0, 1.0),
@@ -2322,15 +2236,16 @@ mod tests {
                         max_copies_frac: 0.5,
                     }),
                     batch: crate::config::BatchPolicy::Fixed(0.5),
-                    record_trace: true,
+                    record_obs: true,
                     seed,
                     ..EngineConfig::default()
                 },
             )
             .run()
             .unwrap();
-            assert_eq!(report.trace.len(), 12, "one trace per task");
-            for t in &report.trace {
+            let records = report.obs.unwrap().task_records();
+            assert_eq!(records.len(), 12, "one record per task");
+            for t in &records {
                 assert!(
                     t.compute_started >= t.launched_at - 1e-9,
                     "seed {seed}: compute at {} before launch at {} (was_copy={})",

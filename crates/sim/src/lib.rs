@@ -52,7 +52,7 @@ pub fn audit_enabled() -> bool {
 
 pub use config::{BatchPolicy, EngineConfig, SpeculationConfig};
 pub use engine::{Engine, SimError};
-pub use report::{JobOutcome, RunReport, TaskTrace};
+pub use report::{JobOutcome, RunReport};
 pub use sched::{
     JobSnapshot, Scheduler, SiteState, Snapshot, StageMeta, StagePlan, StageSnapshot,
     TaskAssignment, TaskPhase, TaskSnapshot,

@@ -1,40 +1,6 @@
 //! Run outcomes: per-job records and aggregate statistics.
 
-use tetrium_cluster::SiteId;
 use tetrium_jobs::JobId;
-
-/// One task execution record (emitted when trace recording is enabled).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskTrace {
-    /// Job the task belongs to.
-    pub job: JobId,
-    /// Stage index within the job.
-    pub stage: usize,
-    /// Task index within the stage.
-    pub task: usize,
-    /// Site the winning execution ran at.
-    pub site: SiteId,
-    /// Time the execution occupied a slot.
-    pub launched_at: f64,
-    /// Time its compute phase began (equals `launched_at` for local reads).
-    pub compute_started: f64,
-    /// Completion time.
-    pub finished_at: f64,
-    /// Whether a speculative copy produced the result.
-    pub was_copy: bool,
-}
-
-impl TaskTrace {
-    /// Seconds spent fetching input (slot occupied, not computing).
-    pub fn fetch_secs(&self) -> f64 {
-        (self.compute_started - self.launched_at).max(0.0)
-    }
-
-    /// Seconds spent computing.
-    pub fn compute_secs(&self) -> f64 {
-        (self.finished_at - self.compute_started).max(0.0)
-    }
-}
 
 /// Outcome of one job in a finished run.
 #[derive(Debug, Clone)]
@@ -94,7 +60,8 @@ impl JobOutcome {
 pub struct RunReport {
     /// Name of the scheduler that produced this run.
     pub scheduler: String,
-    /// Per-job outcomes in job-id order.
+    /// Per-job outcomes in engine order (`jobs[j].id` is the job at engine
+    /// index `j`, the `job` field of the obs task events).
     pub jobs: Vec<JobOutcome>,
     /// Time the last job finished.
     pub makespan: f64,
@@ -114,8 +81,6 @@ pub struct RunReport {
     /// Mid-run dynamics-timeline events applied (capacity drops, link
     /// changes, outages, recoveries).
     pub dynamics_events: usize,
-    /// Per-task execution records (empty unless trace recording is on).
-    pub trace: Vec<TaskTrace>,
     /// Observability record of the run (`None` unless
     /// [`crate::EngineConfig::record_obs`] is set).
     pub obs: Option<tetrium_obs::ObsReport>,
@@ -186,7 +151,6 @@ mod tests {
             copies_won: 0,
             task_failures: 0,
             dynamics_events: 0,
-            trace: Vec::new(),
             obs: None,
         }
     }

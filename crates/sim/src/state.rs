@@ -42,8 +42,6 @@ pub struct Attempt {
     pub site: SiteId,
     /// Compute seconds, sampled at launch.
     pub secs: f64,
-    /// When the attempt occupied its slot.
-    pub launched_at: f64,
     /// Where the attempt is in its run.
     pub phase: Phase,
     /// `None` for the original; a copy's id, unique over the run, so the

@@ -4,7 +4,7 @@
 //! copies run. Each scenario runs a few seeds and compares an FNV-1a digest
 //! of everything the run reports (except wall-clock time) with the value
 //! recorded when the digest was introduced. A change to the engine that
-//! alters any outcome, trace row, counter, WAN total, observability byte or
+//! alters any outcome, task record, counter, WAN total, observability byte or
 //! scheduler snapshot changes a digest.
 //!
 //! When a digest changes on purpose, the failure message prints the new
@@ -156,7 +156,6 @@ fn speculative(seed: u64) -> EngineConfig {
         }),
         max_fetch_concurrency: 1,
         batch: BatchPolicy::Fixed(0.3),
-        record_trace: true,
         record_obs: true,
         seed,
         ..EngineConfig::default()
@@ -199,8 +198,11 @@ fn digest_report(h: &mut Fnv, r: &RunReport) {
     ] {
         h.usize(c);
     }
-    for t in &r.trace {
-        h.usize(t.job.index());
+    // Every derived task record, field by field (the jobs are admitted in
+    // id order, so a record's engine index is its job id).
+    let obs = r.obs.as_ref().expect("obs recorded");
+    for t in &obs.task_records() {
+        h.usize(t.job);
         h.usize(t.stage);
         h.usize(t.task);
         h.usize(t.site.index());
@@ -209,7 +211,6 @@ fn digest_report(h: &mut Fnv, r: &RunReport) {
         h.f64(t.finished_at);
         h.u64(u64::from(t.was_copy));
     }
-    let obs = r.obs.as_ref().expect("obs recorded");
     h.bytes(obs.to_json(false).to_string().as_bytes());
 }
 

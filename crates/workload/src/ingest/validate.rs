@@ -67,11 +67,6 @@ pub struct ValidationReport {
 }
 
 impl ValidationReport {
-    /// Whether the trace passed.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
     /// Number of distinct constraints that fired.
     pub fn distinct_constraints(&self) -> usize {
         let mut names: Vec<&str> = self.violations.iter().map(|v| v.constraint).collect();

@@ -9,7 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tetrium::cluster::{ec2_eight_regions, CapacityDrop, SiteId};
+use tetrium::cluster::{
+    ec2_eight_regions, DynamicsChange, DynamicsEvent, DynamicsTimeline, SiteId,
+};
 use tetrium::core::TetriumConfig;
 use tetrium::sim::{Engine, EngineConfig};
 use tetrium::workload::bigdata_like_jobs;
@@ -19,10 +21,8 @@ fn main() {
     let cluster = ec2_eight_regions();
     let mut rng = StdRng::seed_from_u64(31);
     let jobs = bigdata_like_jobs(&cluster, 10, 15.0, 20.0, &mut rng);
-    let drops = vec![
-        CapacityDrop::new(SiteId(0), 60.0, 0.4),
-        CapacityDrop::new(SiteId(5), 120.0, 0.4),
-    ];
+    let drop = |site, at| DynamicsEvent::new(site, at, DynamicsChange::Capacity { keep: 0.6 });
+    let drops = DynamicsTimeline::new(vec![drop(SiteId(0), 60.0), drop(SiteId(5), 120.0)]);
     println!("two sites lose 40% capacity at t=60s and t=120s\n");
     println!("{:>14} {:>12}", "update budget", "avg resp");
 
@@ -33,7 +33,7 @@ fn main() {
         SchedulerKind::Tetrium.build(),
         EngineConfig::default(),
     )
-    .with_drops(drops.clone())
+    .with_dynamics(drops.clone())
     .run()
     .expect("completes");
     println!("{:>14} {:>10.0} s", "unlimited", full.avg_response());
@@ -49,7 +49,7 @@ fn main() {
             .build(),
             EngineConfig::default(),
         )
-        .with_drops(drops.clone())
+        .with_dynamics(drops.clone())
         .run()
         .expect("completes");
         println!("{:>14} {:>10.0} s", format!("k = {k}"), r.avg_response());

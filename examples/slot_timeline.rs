@@ -1,33 +1,31 @@
-//! Inspect where slot time goes with task-level traces.
+//! Inspect where slot time goes with the run's obs record.
 //!
-//! Runs the Fig 4 worked example with trace recording enabled and prints,
+//! Runs the Fig 4 worked example with obs recording enabled and prints,
 //! per scheduler, the per-site slot utilization and the fetch/compute split
 //! — the diagnostic behind the paper's argument that WAN transfers must be
 //! scheduled jointly with compute.
 //!
 //! Run with: `cargo run --release --example slot_timeline`
 
-use tetrium::metrics::{fetch_compute_split, site_utilization};
 use tetrium::sim::EngineConfig;
 use tetrium::workload::{fig4_cluster, fig4_job};
 use tetrium::{run_workload, SchedulerKind};
 
 fn main() {
-    let cluster = fig4_cluster();
-    let slots = cluster.slots_vec();
     for kind in [SchedulerKind::InPlace, SchedulerKind::Tetrium] {
         let report = run_workload(
-            cluster.clone(),
+            fig4_cluster(),
             vec![fig4_job()],
             kind,
             EngineConfig {
-                record_trace: true,
+                record_obs: true,
                 ..EngineConfig::default()
             },
         )
         .expect("run completes");
-        let util = site_utilization(&report.trace, &slots, report.makespan);
-        let (fetch, compute) = fetch_compute_split(&report.trace);
+        let obs = report.obs.as_ref().expect("obs recorded");
+        let util = obs.utilization(report.makespan);
+        let (fetch, compute) = obs.fetch_compute_split();
         println!(
             "{:<10} response {:6.1} s   slot util per site {:?}   fetch/compute {:.0}/{:.0} slot-s",
             report.scheduler,

@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tetrium::cluster::ec2_eight_regions;
-use tetrium::cluster::{CapacityDrop, SiteId};
+use tetrium::cluster::{DynamicsChange, DynamicsEvent, DynamicsTimeline, SiteId};
 use tetrium::sim::EngineConfig;
 use tetrium::workload::bigdata_like_jobs;
 use tetrium::{run_workload, SchedulerKind};
@@ -95,7 +95,11 @@ fn failures_only_delay_under_mid_run_drops() {
     let cluster = ec2_eight_regions();
     let mut rng = StdRng::seed_from_u64(43);
     let jobs = bigdata_like_jobs(&cluster, 4, 0.0, 3.0, &mut rng);
-    let drops = vec![CapacityDrop::new(SiteId(0), 50.0, 0.5)];
+    let drops = DynamicsTimeline::new(vec![DynamicsEvent::new(
+        SiteId(0),
+        50.0,
+        DynamicsChange::Capacity { keep: 0.5 },
+    )]);
     let run = |failure_prob: f64, seed: u64| {
         Engine::new(
             cluster.clone(),
@@ -107,7 +111,7 @@ fn failures_only_delay_under_mid_run_drops() {
                 ..EngineConfig::default()
             },
         )
-        .with_drops(drops.clone())
+        .with_dynamics(drops.clone())
         .run()
         .unwrap()
     };

@@ -144,7 +144,7 @@ fn epsilon_trades_average_response_for_fairness() {
 
 #[test]
 fn dynamics_k_still_completes_under_capacity_drops() {
-    use tetrium::cluster::{CapacityDrop, SiteId};
+    use tetrium::cluster::{DynamicsChange, DynamicsEvent, DynamicsTimeline, SiteId};
     use tetrium::sim::Engine;
 
     let cluster = ec2_eight_regions();
@@ -152,17 +152,17 @@ fn dynamics_k_still_completes_under_capacity_drops() {
     let jobs = bigdata_like_jobs(&cluster, 6, 10.0, 2.0, &mut rng);
     for k in [1, 3, 8] {
         let kind = tetrium_with(|c| c.dynamics_k = Some(k));
-        let drops = vec![
-            CapacityDrop::new(SiteId(0), 5.0, 0.4),
-            CapacityDrop::new(SiteId(3), 9.0, 0.3),
-        ];
+        let drops = DynamicsTimeline::new(vec![
+            DynamicsEvent::new(SiteId(0), 5.0, DynamicsChange::Capacity { keep: 0.6 }),
+            DynamicsEvent::new(SiteId(3), 9.0, DynamicsChange::Capacity { keep: 0.7 }),
+        ]);
         let report = Engine::new(
             cluster.clone(),
             jobs.clone(),
             kind.build(),
             EngineConfig::default(),
         )
-        .with_drops(drops)
+        .with_dynamics(drops)
         .run()
         .unwrap_or_else(|e| panic!("k={k}: {e}"));
         assert_eq!(report.jobs.len(), 6);

@@ -1,6 +1,7 @@
 //! Integration tests for the observability layer: the obs record must
-//! reconcile with the run report and the trace-derived metrics, and its
-//! serialized form must be deterministic for a seed.
+//! reconcile with the run report and with itself (slot timeline against
+//! the task records derived from its event log), and its serialized form
+//! must be deterministic for a seed.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,28 +22,29 @@ fn run_with(cfg: EngineConfig) -> RunReport {
 fn obs_is_off_by_default() {
     let report = run_with(EngineConfig::trace_like(9));
     assert!(report.obs.is_none(), "no obs record unless requested");
-    assert!(report.trace.is_empty());
 }
 
 /// With failure injection and speculation off (true for `trace_like`),
-/// every slot-second the obs timeline integrates belongs to a winning
-/// attempt, so it must equal the trace's per-site busy time; and the obs WAN
+/// every slot-second the obs slot timeline integrates belongs to a winning
+/// attempt, so it must equal the per-site busy time summed from the task
+/// records (an independent stream: the task-event log); and the obs WAN
 /// matrix must sum to the flow-level ledger.
 #[test]
 fn obs_reconciles_with_trace_and_wan_ledger() {
     let mut cfg = EngineConfig::trace_like(9);
-    cfg.record_trace = true;
     cfg.record_obs = true;
     let report = run_with(cfg);
     let obs = report.obs.as_ref().expect("recorded");
 
-    let n = obs.n_sites();
-    let from_trace = tetrium::metrics::site_busy_secs(&report.trace, n);
-    let from_obs = obs.busy_secs(report.makespan);
-    for (site, (a, b)) in from_obs.iter().zip(&from_trace).enumerate() {
+    let mut from_records = vec![0.0; obs.n_sites()];
+    for t in obs.task_records() {
+        from_records[t.site.index()] += t.finished_at - t.launched_at;
+    }
+    let from_slots = obs.busy_secs(report.makespan);
+    for (site, (a, b)) in from_slots.iter().zip(&from_records).enumerate() {
         assert!(
             (a - b).abs() < 1e-6 * (1.0 + b),
-            "site {site}: obs busy {a} vs trace busy {b}"
+            "site {site}: slot-timeline busy {a} vs task-record busy {b}"
         );
     }
     for (site, u) in obs.utilization(report.makespan).into_iter().enumerate() {

@@ -109,10 +109,9 @@ proptest! {
             duration_cv: 0.2,
             straggler_prob: 0.05,
             seed,
-            record_trace: true,
+            record_obs: true,
             ..EngineConfig::default()
         };
-        let slots = cluster.slots_vec();
         let report = run_workload(cluster, jobs, kind, cfg).expect("run completes");
         prop_assert_eq!(report.jobs.len(), gen.len());
         for j in &report.jobs {
@@ -128,12 +127,10 @@ proptest! {
         );
         let reported_tasks: usize = report.jobs.iter().map(|j| j.total_tasks).sum();
         prop_assert_eq!(reported_tasks, total_tasks);
-        // site_utilization is unclamped on purpose: a ratio above 1 means
-        // the engine oversubscribed a site's slots.
-        for (i, u) in tetrium::metrics::site_utilization(&report.trace, &slots, report.makespan)
-            .into_iter()
-            .enumerate()
-        {
+        // Utilization is unclamped on purpose: a ratio above 1 means the
+        // engine oversubscribed a site's slots.
+        let obs = report.obs.as_ref().expect("obs recorded");
+        for (i, u) in obs.utilization(report.makespan).into_iter().enumerate() {
             prop_assert!(u <= 1.0 + 1e-9, "site {} oversubscribed: utilization {}", i, u);
         }
     }

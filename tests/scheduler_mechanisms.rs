@@ -135,7 +135,7 @@ fn snapshots_satisfy_invariants_at_every_instance() {
 
 #[test]
 fn capacity_drop_is_visible_in_snapshots() {
-    use tetrium::cluster::CapacityDrop;
+    use tetrium::cluster::{DynamicsChange, DynamicsEvent, DynamicsTimeline};
 
     struct DropWatcher {
         inner: TetriumScheduler,
@@ -164,7 +164,11 @@ fn capacity_drop_is_visible_in_snapshots() {
         Box::new(watcher),
         EngineConfig::default(),
     )
-    .with_drops(vec![CapacityDrop::new(SiteId(0), 2.0, 0.5)])
+    .with_dynamics(DynamicsTimeline::new(vec![DynamicsEvent::new(
+        SiteId(0),
+        2.0,
+        DynamicsChange::Capacity { keep: 0.5 },
+    )]))
     .run()
     .unwrap();
     assert!(

@@ -1,6 +1,6 @@
 //! Serialization round-trips and miscellaneous cross-crate checks.
 
-use tetrium::cluster::{CapacityDrop, Cluster, DataDistribution, Site, SiteId};
+use tetrium::cluster::{Cluster, DataDistribution, DynamicsChange, DynamicsEvent, Site, SiteId};
 use tetrium::jobs::{Job, JobId, Stage, StageKind};
 
 #[test]
@@ -14,9 +14,9 @@ fn cluster_serde_round_trip() {
 
 #[test]
 fn capacity_drop_serde_round_trip() {
-    let d = CapacityDrop::new(SiteId(3), 12.5, 0.4);
+    let d = DynamicsEvent::new(SiteId(3), 12.5, DynamicsChange::Capacity { keep: 0.6 });
     let json = serde_json::to_string(&d).unwrap();
-    let back: CapacityDrop = serde_json::from_str(&json).unwrap();
+    let back: DynamicsEvent = serde_json::from_str(&json).unwrap();
     assert_eq!(back, d);
 }
 
@@ -63,8 +63,8 @@ fn data_placement_improves_the_bottleneck_estimate() {
 #[test]
 fn site_names_survive_degradation() {
     let s = Site::new("eu-west-1", 10, 1.0, 2.0);
-    let d = CapacityDrop::new(SiteId(0), 1.0, 0.25);
-    let g = d.degraded(&s);
+    let d = DynamicsEvent::new(SiteId(0), 1.0, DynamicsChange::Capacity { keep: 0.75 });
+    let g = d.target(&s);
     assert_eq!(g.name, "eu-west-1");
     assert_eq!(g.slots, 7);
 }
