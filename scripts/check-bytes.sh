@@ -13,13 +13,15 @@
 #   - `tetrium-cli run --trace mini_trace.json` with --obs, --obs-otel and
 #     --chrome-trace.
 # Every JSON file loses its `decision_ms`, `wall_secs` and `wall_ms` fields
-# (measured wall-clock), and the two output trees, target/check-bytes/out/
-# base and .../head, are diffed. Exits 0 when they are identical and then
+# (measured wall-clock) by a text edit: a pretty-printed file loses the
+# whole line, a compact one the key-value pair. Nothing else is re-printed,
+# so the two output trees, target/check-bytes/out/base and .../head, are
+# diffed byte for byte, number formatting included. Exits 0 when they are identical and then
 # deletes target/check-bytes/out (it holds several hundred MB of obs
 # records); exits 1 with the diff otherwise and keeps the trees for
 # inspection. Console output is kept next to the records but not compared:
 # it prints the same wall-clock fields.
-# Needs git, cargo and jq; the quick figures take a few minutes per run.
+# Needs git, cargo and sed; the quick figures take a few minutes per run.
 set -euo pipefail
 
 rev=${1:?usage: scripts/check-bytes.sh REV}
@@ -54,11 +56,11 @@ run() {
     "$bin/tetrium-cli" run --trace "$trace" --sites ec2-8 --seed 5 \
         --obs "$out/cli/run.obs.json" --obs-otel "$out/cli/run.otel.json" \
         --chrome-trace "$out/cli/run.chrome.json" >"$out/cli/stdout.txt"
-    find "$out" -name '*.json' -print0 | while IFS= read -r -d '' f; do
-        jq 'walk(if type == "object" then del(.decision_ms, .wall_secs, .wall_ms) else . end)' \
-            "$f" >"$f.tmp"
-        mv "$f.tmp" "$f"
-    done
+    local keys='"(decision_ms|wall_secs|wall_ms)"'
+    find "$out" -name '*.json' -print0 | xargs -0 -r sed -E -i \
+        -e "/^[[:space:]]*$keys: /d" \
+        -e "s/,$keys:[^,}]*//g" \
+        -e "s/$keys:[^,}]*,?//g"
 }
 
 echo "building $sha and the checkout" >&2
