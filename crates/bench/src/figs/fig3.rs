@@ -162,7 +162,7 @@ pub fn run() {
                 "better": {"total_s": better_total, "paper_s": 59.83},
                 "centralized": {"total_s": central_total, "paper_s": 93.0},
             },
-            "engine": engine,
+            "engine": serde_json::Value::Object(engine),
         }),
     );
 }

@@ -9,7 +9,7 @@
 //! two events on one site do not compound.
 
 use crate::{Cluster, Site, SiteId};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Map, Serialize, Value};
 
 /// One kind of mid-run resource change at a site.
 ///
@@ -46,42 +46,38 @@ pub enum DynamicsChange {
 }
 
 impl Serialize for DynamicsChange {
-    fn to_content(&self) -> serde::Content {
-        use serde::Content;
-        let kind = |k: &str| ("kind".to_string(), Content::Str(k.to_string()));
-        match *self {
-            DynamicsChange::Capacity { keep } => Content::Map(vec![
-                kind("capacity"),
-                ("keep".to_string(), Content::F64(keep)),
-            ]),
-            DynamicsChange::Links { up_keep, down_keep } => Content::Map(vec![
-                kind("links"),
-                ("up_keep".to_string(), Content::F64(up_keep)),
-                ("down_keep".to_string(), Content::F64(down_keep)),
-            ]),
-            DynamicsChange::Outage => Content::Map(vec![kind("outage")]),
-            DynamicsChange::Recover => Content::Map(vec![kind("recover")]),
+    fn to_value(&self) -> Value {
+        let (kind, nums): (&str, &[(&str, f64)]) = match *self {
+            DynamicsChange::Capacity { keep } => ("capacity", &[("keep", keep)]),
+            DynamicsChange::Links { up_keep, down_keep } => {
+                ("links", &[("up_keep", up_keep), ("down_keep", down_keep)])
+            }
+            DynamicsChange::Outage => ("outage", &[]),
+            DynamicsChange::Recover => ("recover", &[]),
+        };
+        let mut map = Map::new();
+        map.insert("kind".to_string(), Value::from(kind));
+        for &(k, v) in nums {
+            map.insert(k.to_string(), Value::from(v));
         }
+        Value::Object(map)
     }
 }
 
 impl Deserialize for DynamicsChange {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
-        use serde::DeError;
-        let kind = content
-            .get_field("kind")
-            .ok_or_else(|| DeError::custom("dynamics change needs a `kind` field"))?;
-        let serde::Content::Str(kind) = kind else {
-            return Err(DeError::custom("`kind` must be a string"));
-        };
+    fn from_value(value: Value) -> Result<Self, DeError> {
+        let kind = value
+            .get("kind")
+            .ok_or_else(|| DeError::custom("dynamics change needs a `kind` field"))?
+            .as_str()
+            .ok_or_else(|| DeError::custom("`kind` must be a string"))?;
         let num = |field: &str| -> Result<f64, DeError> {
-            f64::from_content(
-                content
-                    .get_field(field)
-                    .ok_or_else(|| DeError::custom(format!("missing field `{field}`")))?,
-            )
+            let v = value
+                .get(field)
+                .ok_or_else(|| DeError::custom(format!("missing field `{field}`")))?;
+            v.as_f64().ok_or_else(|| DeError::expected("number", v))
         };
-        match kind.as_str() {
+        match kind {
             "capacity" => Ok(DynamicsChange::Capacity { keep: num("keep")? }),
             "links" => Ok(DynamicsChange::Links {
                 up_keep: num("up_keep")?,
@@ -189,18 +185,18 @@ pub struct DynamicsTimeline {
 }
 
 impl Serialize for DynamicsTimeline {
-    fn to_content(&self) -> serde::Content {
-        self.events.to_content()
+    fn to_value(&self) -> Value {
+        self.events.to_value()
     }
 }
 
 impl Deserialize for DynamicsTimeline {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
+    fn from_value(value: Value) -> Result<Self, DeError> {
         // Deserialized timelines skip the constructor's validation (loaders
         // call `validate_for`) but still sort, preserving the ordering
         // invariant.
         let mut tl = Self {
-            events: Vec::<DynamicsEvent>::from_content(content)?,
+            events: Vec::<DynamicsEvent>::from_value(value)?,
         };
         tl.sort();
         Ok(tl)

@@ -58,12 +58,10 @@ impl FlowKey {
 #[derive(Debug, Clone)]
 struct FlowRec {
     size_gb: f64,
-    /// Group the flow belongs to (`None` for local flows).
-    group: Option<usize>,
+    /// Group the flow belongs to.
+    group: usize,
     /// Group drain level when the flow joined.
     join_drain: f64,
-    /// Position in `locals` (meaningful only for alive local flows).
-    local_pos: usize,
     alive: bool,
 }
 
@@ -164,8 +162,8 @@ impl DueFlags {
 /// flow set or link capacities change, and incrementally: the refill resumes
 /// at the first saturation the changes since the last refresh can move.
 ///
-/// Local flows (`src == dst`) complete instantly (zero remaining time), as
-/// local reads do not cross the WAN in the paper's model.
+/// Every flow crosses the WAN (`src != dst`): local reads never reach the
+/// simulator, as they do not cross the WAN in the paper's model.
 ///
 /// # Examples
 ///
@@ -196,10 +194,6 @@ pub struct FlowSim {
     now: f64,
     total_wan_gb: f64,
     active: usize,
-    /// Alive local flows (rarely used; the engine short-circuits local
-    /// reads before they reach the WAN model). Removal is a swap_remove,
-    /// so the order is not insertion order.
-    locals: Vec<usize>,
     dirty: bool,
     /// Resumable max-min state: per-link membership, the last fill's
     /// record and the dirty-link set.
@@ -244,7 +238,6 @@ impl FlowSim {
             now: 0.0,
             total_wan_gb: 0.0,
             active: 0,
-            locals: Vec::new(),
             dirty: false,
             wf: Waterfiller::new(n),
             flags: DueFlags::default(),
@@ -274,7 +267,7 @@ impl FlowSim {
     }
 
     /// Cumulative bytes (GB) that crossed the WAN so far — the WAN-usage
-    /// metric of §4.3 (local flows do not count).
+    /// metric of §4.3.
     pub fn total_wan_gb(&self) -> f64 {
         self.total_wan_gb
     }
@@ -299,72 +292,66 @@ impl FlowSim {
     ///
     /// WAN usage is accounted at start time (the bytes will cross the WAN
     /// unless the flow is cancelled).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src == dst` (a local read is not a WAN transfer) or `gb`
+    /// is negative or not finite.
     pub fn add_flow(&mut self, src: SiteId, dst: SiteId, gb: f64) -> FlowKey {
+        assert!(src != dst, "a flow must cross the WAN");
         assert!(gb >= 0.0 && gb.is_finite());
-        let local = src == dst;
-        if !local {
-            self.total_wan_gb += gb;
-            self.obs.wan_transfer(src, dst, gb);
-        }
-        let idx = self.free.pop().unwrap_or_else(|| {
-            self.flows.push(FlowRec {
-                size_gb: 0.0,
-                group: None,
-                join_drain: 0.0,
-                local_pos: 0,
-                alive: false,
-            });
-            self.flows.len() - 1
-        });
-        let (group, join_drain, local_pos) = if local {
-            let pos = self.locals.len();
-            self.locals.push(idx);
-            self.cached_next = None;
-            (None, 0.0, pos)
-        } else {
-            let g = *self
-                .group_index
-                .entry((src.index(), dst.index()))
-                .or_insert_with(|| {
-                    self.groups.push(Group {
-                        src: src.index(),
-                        dst: dst.index(),
-                        count: 0,
-                        rate: 0.0,
-                        drained: 0.0,
-                        heap: BinaryHeap::new(),
-                        top: None,
-                    });
-                    self.groups.len() - 1
+        self.total_wan_gb += gb;
+        self.obs.wan_transfer(src, dst, gb);
+        let g = *self
+            .group_index
+            .entry((src.index(), dst.index()))
+            .or_insert_with(|| {
+                self.groups.push(Group {
+                    src: src.index(),
+                    dst: dst.index(),
+                    count: 0,
+                    rate: 0.0,
+                    drained: 0.0,
+                    heap: BinaryHeap::new(),
+                    top: None,
                 });
-            let grp = &mut self.groups[g];
-            grp.count += 1;
-            // The old top stays valid (the free list hands out only indices
-            // of removed flows), so the new minimum is the lower of the two.
-            let entry = (key(grp.drained + gb), idx);
-            grp.heap.push(Reverse(entry));
-            if grp.top.is_none_or(|top| entry < top) {
-                grp.top = Some(entry);
-            }
-            let (join, count) = (grp.drained, grp.count);
-            if count == 1 {
-                self.live_insert(g);
-            }
-            self.update_flag(g);
-            self.wf.set_count(g, src.index(), dst.index(), count);
-            self.dirty = true;
-            self.cached_next = None;
-            (Some(g), join, 0)
-        };
-        self.flows[idx] = FlowRec {
+                self.groups.len() - 1
+            });
+        let rec = FlowRec {
             size_gb: gb,
-            group,
-            join_drain,
-            local_pos,
+            group: g,
+            join_drain: self.groups[g].drained,
             alive: true,
         };
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.flows[idx] = rec;
+                idx
+            }
+            None => {
+                self.flows.push(rec);
+                self.flows.len() - 1
+            }
+        };
+        let grp = &mut self.groups[g];
+        grp.count += 1;
+        // The old top stays valid (the free list hands out only indices of
+        // removed flows), so the new minimum is the lower of the two.
+        let entry = (key(grp.drained + gb), idx);
+        grp.heap.push(Reverse(entry));
+        if grp.top.is_none_or(|top| entry < top) {
+            grp.top = Some(entry);
+        }
+        let count = grp.count;
+        if count == 1 {
+            self.live_insert(g);
+        }
+        self.update_flag(g);
+        self.wf.set_count(g, src.index(), dst.index(), count);
+        self.dirty = true;
+        self.cached_next = None;
         self.active += 1;
-        if !local && self.obs.is_enabled() {
+        if self.obs.is_enabled() {
             self.obs_pending = true;
         }
         FlowKey(idx)
@@ -388,36 +375,25 @@ impl FlowSim {
         assert!(rec.alive, "flow already removed");
         rec.alive = false;
         self.cached_next = None;
-        match rec.group {
-            Some(g) => {
-                self.groups[g].count -= 1;
-                if self.groups[g].top.is_some_and(|(_, i)| i == fkey.0) {
-                    self.pop_top(g);
-                }
-                if self.groups[g].count == 0 {
-                    self.live_remove(g);
-                }
-                self.update_flag(g);
-                let (src, dst) = (self.groups[g].src, self.groups[g].dst);
-                self.wf.set_count(g, src, dst, self.groups[g].count);
-                self.dirty = true;
-                // Refund WAN accounting for unsent bytes of a cancelled flow.
-                self.total_wan_gb -= remaining;
-                if remaining > 0.0 {
-                    self.obs.wan_transfer(SiteId(src), SiteId(dst), -remaining);
-                }
-                if self.obs.is_enabled() {
-                    self.obs_pending = true;
-                }
-            }
-            None => {
-                let pos = self.flows[fkey.0].local_pos;
-                self.locals.swap_remove(pos);
-                if pos < self.locals.len() {
-                    let moved = self.locals[pos];
-                    self.flows[moved].local_pos = pos;
-                }
-            }
+        let g = rec.group;
+        self.groups[g].count -= 1;
+        if self.groups[g].top.is_some_and(|(_, i)| i == fkey.0) {
+            self.pop_top(g);
+        }
+        if self.groups[g].count == 0 {
+            self.live_remove(g);
+        }
+        self.update_flag(g);
+        let (src, dst) = (self.groups[g].src, self.groups[g].dst);
+        self.wf.set_count(g, src, dst, self.groups[g].count);
+        self.dirty = true;
+        // Refund WAN accounting for unsent bytes of a cancelled flow.
+        self.total_wan_gb -= remaining;
+        if remaining > 0.0 {
+            self.obs.wan_transfer(SiteId(src), SiteId(dst), -remaining);
+        }
+        if self.obs.is_enabled() {
+            self.obs_pending = true;
         }
         self.free.push(fkey.0);
         self.active -= 1;
@@ -499,7 +475,7 @@ impl FlowSim {
                 break None;
             };
             let f = &self.flows[idx];
-            if f.alive && f.group == Some(g) && key(f.join_drain + f.size_gb) == th {
+            if f.alive && f.group == g && key(f.join_drain + f.size_gb) == th {
                 break Some((th, idx));
             }
             grp.heap.pop();
@@ -509,14 +485,10 @@ impl FlowSim {
     /// The earliest `(flow, absolute completion time)` among in-flight flows
     /// at current rates, or `None` when no flows are active.
     ///
-    /// Local flows and zero-byte flows complete "now".
+    /// Zero-byte flows complete "now".
     pub fn next_completion(&mut self) -> Option<(FlowKey, f64)> {
         if let Some(cached) = self.cached_next {
             return cached;
-        }
-        // Local flows (no group) complete immediately.
-        if let Some(&i) = self.locals.first() {
-            return Some((FlowKey(i), self.now));
         }
         if let Some(due) = self.due_now() {
             #[cfg(feature = "audit")]
@@ -595,31 +567,24 @@ impl FlowSim {
         best.map(|(_, idx, eta)| (FlowKey(idx), eta))
     }
 
-    /// Remaining volume of a flow in GB (zero for local flows, which never
-    /// queue).
+    /// Remaining volume of a flow in GB.
     pub fn remaining_gb(&self, fkey: FlowKey) -> f64 {
         let f = &self.flows[fkey.0];
         assert!(f.alive, "flow was removed");
-        match f.group {
-            None => 0.0,
-            Some(g) => (f.join_drain + f.size_gb - self.groups[g].drained).max(0.0),
-        }
+        (f.join_drain + f.size_gb - self.groups[f.group].drained).max(0.0)
     }
 
-    /// Current rate of a flow in GB/s (`f64::INFINITY` for local flows).
+    /// Current rate of a flow in GB/s.
     pub fn rate_gbps(&mut self, fkey: FlowKey) -> f64 {
         self.refresh();
         let f = &self.flows[fkey.0];
         assert!(f.alive, "flow was removed");
-        match f.group {
-            None => f64::INFINITY,
-            Some(g) => self.groups[g].rate,
-        }
+        self.groups[f.group].rate
     }
 
     /// Aggregate rate currently allocated on each site's uplink and
     /// downlink, in GB/s — the basis for available-bandwidth estimation
-    /// (paper §5). Local flows consume nothing.
+    /// (paper §5).
     pub fn link_usage(&mut self) -> (Vec<f64>, Vec<f64>) {
         let n = self.up_gbps.len();
         let mut up = Vec::with_capacity(n);
@@ -728,7 +693,7 @@ impl FlowSim {
             if !f.alive {
                 continue;
             }
-            let Some(g) = f.group else { continue };
+            let g = f.group;
             let sent = self.groups[g].drained - f.join_drain;
             let tol = 1e-6 * (1.0 + f.size_gb);
             assert!(
@@ -753,9 +718,7 @@ impl FlowSim {
         for f in &self.flows {
             if f.alive {
                 alive += 1;
-                if let Some(g) = f.group {
-                    member_counts[g] += 1;
-                }
+                member_counts[f.group] += 1;
             }
         }
         assert!(
@@ -788,7 +751,7 @@ impl FlowSim {
                 .map(|&Reverse(entry)| entry)
                 .filter(|&(th, idx)| {
                     let f = &self.flows[idx];
-                    f.alive && f.group == Some(g) && key(f.join_drain + f.size_gb) == th
+                    f.alive && f.group == g && key(f.join_drain + f.size_gb) == th
                 })
                 .min();
 
@@ -964,34 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn local_flow_completes_immediately_and_costs_no_wan() {
-        let mut sim = FlowSim::new(vec![1.0], vec![1.0]);
-        let k = sim.add_flow(SiteId(0), SiteId(0), 100.0);
-        let (kk, t) = sim.next_completion().unwrap();
-        assert_eq!(kk, k);
-        assert_eq!(t, 0.0);
-        assert_eq!(sim.total_wan_gb(), 0.0);
-    }
-
-    #[test]
-    fn local_flow_removal_is_positional() {
-        // Three local flows; removing the first must keep the other two
-        // alive and resolvable (swap_remove repositions the moved entry).
-        let mut sim = FlowSim::new(vec![1.0], vec![1.0]);
-        let a = sim.add_flow(SiteId(0), SiteId(0), 1.0);
-        let b = sim.add_flow(SiteId(0), SiteId(0), 1.0);
-        let c = sim.add_flow(SiteId(0), SiteId(0), 1.0);
-        sim.remove_flow(a);
-        assert_eq!(sim.active_flows(), 2);
-        let (k1, _) = sim.next_completion().unwrap();
-        sim.remove_flow(k1);
-        let (k2, _) = sim.next_completion().unwrap();
-        sim.remove_flow(k2);
-        assert!(sim.next_completion().is_none());
-        assert!([b, c].contains(&k1) && [b, c].contains(&k2) && k1 != k2);
-    }
-
-    #[test]
     fn cancelling_a_flow_refunds_wan_accounting() {
         let mut sim = FlowSim::new(vec![1.0, 1.0], vec![1.0, 1.0]);
         let k = sim.add_flow(SiteId(0), SiteId(1), 10.0);
@@ -1062,11 +997,9 @@ mod tests {
         let mut expected = 0.0;
         for i in 0..n {
             let src = i % sites;
-            let dst = (i + 1 + i / sites) % sites;
+            let dst = (src + 1 + (i / sites) % (sites - 1)) % sites;
             let gb = 0.1 + (i % 7) as f64 * 0.05;
-            if src != dst {
-                expected += gb;
-            }
+            expected += gb;
             sim.add_flow(SiteId(src), SiteId(dst), gb);
         }
         let mut done = 0;

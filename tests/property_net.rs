@@ -308,11 +308,10 @@ proptest! {
         let mut keys = Vec::new();
         let mut expected = 0.0;
         for (s, d, gb10) in specs {
-            let (s, d) = (s % n, d % n);
+            let s = s % n;
+            let d = (s + 1 + d % (n - 1)) % n;
             let gb = gb10 as f64 * 0.1;
-            if s != d {
-                expected += gb;
-            }
+            expected += gb;
             keys.push((sim.add_flow(SiteId(s), SiteId(d), gb), s, d));
         }
         // Drain partway so stalled flows carry partial progress.
@@ -322,9 +321,6 @@ proptest! {
         }
         sim.set_capacity(SiteId(dead), 0.0, 0.0);
         for &(k, s, d) in &keys {
-            if s == d {
-                continue;
-            }
             let r = sim.rate_gbps(k);
             prop_assert!(r.is_finite(), "flow {}->{} rate {} not finite", s, d, r);
             if s == dead || d == dead {
@@ -335,7 +331,7 @@ proptest! {
             prop_assert!(t.is_finite(), "stalled flows must not produce inf ETAs");
             let &(_, s, d) = keys.iter().find(|&&(kk, _, _)| kk == k).unwrap();
             prop_assert!(
-                s == d || (s != dead && d != dead),
+                s != dead && d != dead,
                 "stalled flow {}->{} offered as next completion", s, d
             );
         }
@@ -367,11 +363,10 @@ proptest! {
         let mut expected = 0.0;
         let mut live = 0usize;
         for (s, d, gb10) in specs {
-            let (s, d) = (s % n, d % n);
+            let s = s % n;
+            let d = (s + 1 + d % (n - 1)) % n;
             let gb = gb10 as f64 * 0.1;
-            if s != d {
-                expected += gb;
-            }
+            expected += gb;
             sim.add_flow(SiteId(s), SiteId(d), gb);
             live += 1;
         }
