@@ -18,13 +18,15 @@
 # so the two output trees, target/check-bytes/out/base and .../head, are
 # diffed byte for byte, number formatting included. Exits 0 when they are identical and then
 # deletes target/check-bytes/out (it holds several hundred MB of obs
-# records); exits 1 with the diff otherwise and keeps the trees for
-# inspection. Console output is kept next to the records but not compared:
-# it prints the same wall-clock fields.
+# records); otherwise it prints the list of differing files and the first
+# 20 lines of each one's diff, keeps the trees for inspection and exits 1.
+# Console output is kept next to the records but not compared: it prints
+# the same wall-clock fields.
 # Needs git, cargo and sed; the quick figures take a few minutes per run.
 set -euo pipefail
 
 rev=${1:?usage: scripts/check-bytes.sh REV}
+lines=20
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 sha=$(git rev-parse --verify "$rev^{commit}")
@@ -70,10 +72,19 @@ echo "running $sha" >&2
 run base "$work/target/release"
 echo "running the checkout" >&2
 run head "$root/target/release"
-if diff -r -x '*.txt' "$work/out/base" "$work/out/head"; then
+if differ=$(diff -rq -x '*.txt' "$work/out/base" "$work/out/head"); then
     echo "identical: $(find "$work/out/head" -name '*.json' | wc -l) JSON files" >&2
     rm -rf "$work/out"
 else
+    # One line per differing or missing file, then the head of each
+    # differing file's diff: one last-bit change in an obs record can
+    # otherwise print millions of lines.
+    echo "$differ"
+    echo "$differ" | sed -n 's/^Files \(.*\) and \(.*\) differ$/\1\t\2/p' |
+        while IFS=$'\t' read -r a b; do
+            echo "--- first $lines lines of diff $a $b"
+            { diff "$a" "$b" || true; } | head -n "$lines"
+        done
     echo "outputs differ from $sha; kept in $work/out" >&2
     exit 1
 fi
