@@ -63,7 +63,7 @@ mod revised;
 mod sparsela;
 mod types;
 
-pub use problem::{Constraint, Problem, Relation, Sense};
+pub use problem::{Problem, Relation, Sense};
 pub use types::{LpError, Solution};
 
 #[cfg(test)]

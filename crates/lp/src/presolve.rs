@@ -23,9 +23,9 @@
 //! weights. The reduced cleanup therefore minimizes the same function over
 //! the same face, lands on the same vertex, and the full terminal basis
 //! (reduced basis, dropped slacks, fixed columns) refines to the same bits
-//! through [`crate::norm::refine_canonical`].
+//! through [`crate::norm::Refinement::canonical`].
 
-use crate::norm::NormSystem;
+use crate::norm::{NormSystem, Row};
 use crate::problem::Relation;
 
 /// The reduced system plus what it takes to map its answer back.
@@ -55,8 +55,10 @@ impl Presolve {
         let never_binds: Vec<bool> = full
             .rows
             .iter()
-            .map(|row| {
-                row.rel == Relation::Le && row.terms.iter().all(|&(j, a)| a <= 0.0 || !unpinned(j))
+            .enumerate()
+            .map(|(r, row)| {
+                row.rel == Relation::Le
+                    && full.terms(r).iter().all(|&(j, a)| a <= 0.0 || !unpinned(j))
             })
             .collect();
         // Number of non-dropped rows each structural column appears in.
@@ -73,7 +75,7 @@ impl Presolve {
             if row.rel != Relation::Eq {
                 continue;
             }
-            let mut live = row.terms.iter().filter(|&&(j, _)| unpinned(j));
+            let mut live = full.terms(r).iter().filter(|&&(j, _)| unpinned(j));
             if let (Some(&(j, a)), None) = (live.next(), live.next()) {
                 let j = j as usize;
                 let value = row.rhs / a;
@@ -107,10 +109,15 @@ impl Presolve {
             red_upper[j] = 0.0;
         }
         let kept: Vec<usize> = (0..full.m()).filter(|&r| !removed[r]).collect();
-        let sys = NormSystem::from_rows(
-            full.num_vars,
-            kept.iter().map(|&r| full.rows[r].clone()).collect(),
-        );
+        let rows: Vec<Row> = kept.iter().map(|&r| full.rows[r]).collect();
+        let mut row_ptr = Vec::with_capacity(kept.len() + 1);
+        row_ptr.push(0);
+        let mut row_terms = Vec::with_capacity(full.num_terms());
+        for &r in &kept {
+            row_terms.extend_from_slice(full.terms(r));
+            row_ptr.push(row_terms.len());
+        }
+        let sys = NormSystem::from_rows(full.num_vars, rows, row_ptr, row_terms);
         // Slacks map through `dual_col` (a `≤`/`≥` row's slack or surplus),
         // artificials through `init_basis` (a `≥`/`=` row's artificial).
         let col_map: Vec<usize> = (0..sys.total_cols)
@@ -130,7 +137,7 @@ impl Presolve {
         for &r in &dropped {
             // A `≤` row's initial basic column is its slack.
             let w = ((full.init_basis[r] + 2) as f64).sqrt();
-            for &(j, a) in &full.rows[r].terms {
+            for &(j, a) in full.terms(r) {
                 sec[j as usize] -= a * w;
             }
         }

@@ -28,11 +28,12 @@ pub enum Relation {
     Eq,
 }
 
-/// A single linear constraint in sparse form.
-#[derive(Debug, Clone)]
-pub struct Constraint {
-    /// `(variable index, coefficient)` pairs; indices may repeat (summed).
-    pub terms: Vec<(usize, f64)>,
+/// One constraint of a [`Problem`], borrowed from its row storage.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Constraint<'a> {
+    /// `(variable index, coefficient)` pairs as added; indices may repeat
+    /// (summed).
+    pub terms: &'a [(usize, f64)],
     /// The relation between the linear form and `rhs`.
     pub relation: Relation,
     /// Right-hand-side constant.
@@ -50,12 +51,20 @@ pub struct Constraint {
 /// boxing it costs nothing per row. The placement models use `ub = 0` pins
 /// for dead sources, which previously required one explicit row per pinned
 /// site.
+///
+/// Constraints are stored flat (CSR): adding one appends its terms to one
+/// shared array, so building a problem allocates per array growth, not per
+/// row.
 #[derive(Debug, Clone)]
 pub struct Problem {
     num_vars: usize,
     sense: Sense,
     objective: Vec<f64>,
-    constraints: Vec<Constraint>,
+    /// Constraint `i`'s terms are `terms[row_ptr[i]..row_ptr[i + 1]]`.
+    row_ptr: Vec<usize>,
+    terms: Vec<(usize, f64)>,
+    relation: Vec<Relation>,
+    rhs: Vec<f64>,
     upper: Vec<f64>,
 }
 
@@ -76,7 +85,10 @@ impl Problem {
             num_vars,
             sense,
             objective: vec![0.0; num_vars],
-            constraints: Vec::new(),
+            row_ptr: vec![0],
+            terms: Vec::new(),
+            relation: Vec::new(),
+            rhs: Vec::new(),
             upper: vec![f64::INFINITY; num_vars],
         }
     }
@@ -88,7 +100,12 @@ impl Problem {
 
     /// Number of constraints added so far.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.rhs.len()
+    }
+
+    /// Total terms over all constraints, as added.
+    pub(crate) fn num_terms(&self) -> usize {
+        self.terms.len()
     }
 
     /// Sets the objective coefficients from sparse `(index, coefficient)`
@@ -98,7 +115,7 @@ impl Problem {
     ///
     /// Panics if any index is out of range.
     pub fn set_objective(&mut self, terms: &[(usize, f64)]) {
-        self.objective = vec![0.0; self.num_vars];
+        self.objective.fill(0.0);
         for &(i, c) in terms {
             assert!(i < self.num_vars, "objective index {i} out of range");
             self.objective[i] += c;
@@ -133,10 +150,22 @@ impl Problem {
         self.upper[var]
     }
 
+    /// Every upper bound, by variable.
+    pub(crate) fn upper_bounds(&self) -> &[f64] {
+        &self.upper
+    }
+
     /// The constraints added so far, in input order.
-    #[cfg(test)]
-    pub(crate) fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+    pub(crate) fn constraints(&self) -> impl Iterator<Item = Constraint<'_>> + '_ {
+        self.row_ptr
+            .windows(2)
+            .zip(&self.relation)
+            .zip(&self.rhs)
+            .map(|((span, &relation), &rhs)| Constraint {
+                terms: &self.terms[span[0]..span[1]],
+                relation,
+                rhs,
+            })
     }
 
     /// Adds a constraint from sparse `(index, coefficient)` pairs.
@@ -150,11 +179,10 @@ impl Problem {
             assert!(i < self.num_vars, "constraint index {i} out of range");
             assert!(c.is_finite(), "constraint coefficient must be finite");
         }
-        self.constraints.push(Constraint {
-            terms: terms.to_vec(),
-            relation,
-            rhs,
-        });
+        self.terms.extend_from_slice(terms);
+        self.row_ptr.push(self.terms.len());
+        self.relation.push(relation);
+        self.rhs.push(rhs);
     }
 
     /// Solves the problem, returning variable values and objective value.
@@ -195,13 +223,7 @@ impl Problem {
         } else {
             self.objective.clone()
         };
-        let mut sol = solve_sparse(
-            self.num_vars,
-            &objective,
-            &self.constraints,
-            &self.upper,
-            presolve,
-        )?;
+        let mut sol = solve_sparse(self, &objective, presolve)?;
         if flip {
             flip_sense(&mut sol);
         }
@@ -222,7 +244,7 @@ impl Problem {
                 "lp audit repro: NUM_VARS {}\nSENSE {:?}\nOBJ {:?}\nUPPER {:?}",
                 self.num_vars, self.sense, self.objective, self.upper
             );
-            for c in &self.constraints {
+            for c in self.constraints() {
                 eprintln!("CON {:?} {:?} rhs={:?}", c.relation, c.terms, c.rhs);
             }
             panic!("lp audit: {fault}");

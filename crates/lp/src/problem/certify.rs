@@ -48,10 +48,10 @@ pub(crate) fn certify(p: &Problem, sol: &Solution) -> Result<(), Violation> {
     // Reduced costs, and the magnitudes of the terms each one sums.
     let mut d: Vec<f64> = p.objective.iter().map(|c| sign * c).collect();
     let mut d_act: Vec<f64> = d.iter().map(|c| c.abs()).collect();
-    for (i, (row, &dual)) in p.constraints.iter().zip(&sol.duals).enumerate() {
+    for (i, (row, &dual)) in p.constraints().zip(&sol.duals).enumerate() {
         let y = sign * dual;
         let (mut lhs, mut act, mut scale) = (0.0, 0.0, row.rhs.abs());
-        for &(j, a) in &row.terms {
+        for &(j, a) in row.terms {
             lhs += a * x[j];
             act += (a * x[j]).abs();
             scale = scale.max(a.abs());
