@@ -292,8 +292,10 @@ impl TetriumScheduler {
                         }
                     },
                 };
-                let (mut counts, est) = match solved {
-                    Some(p) => (p.counts, p.times.total()),
+                // A placement's tasks per destination are its count
+                // columns' sums.
+                let (mut counts, mut dest, est) = match solved {
+                    Some(p) => (p.counts, p.tasks_at, p.times.total()),
                     None => {
                         // Site-local placement (also Iridium's map policy).
                         let mut counts = vec![vec![0usize; n]; n];
@@ -310,11 +312,9 @@ impl TetriumScheduler {
                             true,
                         )
                         .total();
-                        (counts, est)
+                        (counts, tasks_from.clone(), est)
                     }
                 };
-                let mut dest: Vec<usize> =
-                    (0..n).map(|y| (0..n).map(|x| counts[x][y]).sum()).collect();
                 // Limited re-assignment under resource dynamics (§4.2); the
                 // restriction persists once a drop has been observed.
                 if caps_changed || self.restricted {
@@ -329,32 +329,47 @@ impl TetriumScheduler {
                         }
                     }
                 }
-                // Pair concrete tasks with destinations, grouped by source.
-                let mut by_src: Vec<Vec<usize>> = vec![Vec::new(); n];
+                // Pair concrete tasks with destinations, grouped by source:
+                // `by_src` lists each source's homed tasks in `unl` order,
+                // source after source, and `end[x]` is where x's group ends.
+                let mut end: Vec<usize> = tasks_from
+                    .iter()
+                    .scan(0, |start, &c| {
+                        let s = *start;
+                        *start += c;
+                        Some(s)
+                    })
+                    .collect();
+                let mut by_src = vec![0usize; tasks_from.iter().sum()];
                 let mut homeless: Vec<usize> = Vec::new();
                 for &i in &unl {
                     match st.tasks[i].input_site {
-                        Some(src) => by_src[src.index()].push(i),
+                        Some(src) => {
+                            let x = src.index();
+                            by_src[end[x]] = i;
+                            end[x] += 1;
+                        }
                         None => homeless.push(i),
                     }
                 }
                 let mut triples: Vec<(usize, SiteId, f64, SiteId)> = Vec::with_capacity(unl.len());
                 let mut site_of: HashMap<usize, SiteId> = HashMap::with_capacity(unl.len());
-                for x in 0..n {
+                for x in (0..n).filter(|&x| tasks_from[x] > 0) {
+                    let group = &by_src[end[x] - tasks_from[x]..end[x]];
                     let mut cursor = 0;
                     for y in 0..n {
                         for _ in 0..counts[x][y] {
-                            if cursor >= by_src[x].len() {
+                            if cursor >= group.len() {
                                 break;
                             }
-                            let t = by_src[x][cursor];
+                            let t = group[cursor];
                             cursor += 1;
                             triples.push((t, SiteId(x), st.tasks[t].input_gb, SiteId(y)));
                             site_of.insert(t, SiteId(y));
                         }
                     }
                     // Any leftovers (counts mismatch) stay local.
-                    for &t in &by_src[x][cursor..] {
+                    for &t in &group[cursor..] {
                         triples.push((t, SiteId(x), st.tasks[t].input_gb, SiteId(x)));
                         site_of.insert(t, SiteId(x));
                     }

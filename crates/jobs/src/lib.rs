@@ -20,5 +20,5 @@ mod rounding;
 mod stage;
 
 pub use job::{Job, JobId};
-pub use rounding::largest_remainder_round;
+pub use rounding::{largest_remainder_round, largest_remainder_round_into};
 pub use stage::{Stage, StageKind};

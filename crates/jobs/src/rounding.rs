@@ -25,9 +25,33 @@
 /// assert_eq!(largest_remainder_round(&[f64::NAN, 1.0, -3.0], 4), vec![0, 4, 0]);
 /// ```
 pub fn largest_remainder_round(fractions: &[f64], total: usize) -> Vec<usize> {
+    let mut counts = vec![0; fractions.len()];
+    largest_remainder_round_into(fractions, total, &mut counts, &mut Vec::new());
+    counts
+}
+
+/// [`largest_remainder_round`] into `counts` (one per fraction, every
+/// entry overwritten), with `order` as work space, so a caller that rounds
+/// many rows allocates neither per row.
+///
+/// The leftover units go by remainder, largest first, ties to the lower
+/// index. Only the positive remainders are sorted: the zero ones follow
+/// them in index order, which is where a full sort puts them, and are
+/// listed only when more units are left than positive remainders.
+///
+/// # Panics
+///
+/// Panics if `counts` and `fractions` differ in length.
+pub fn largest_remainder_round_into(
+    fractions: &[f64],
+    total: usize,
+    counts: &mut [usize],
+    order: &mut Vec<(usize, f64)>,
+) {
+    assert_eq!(counts.len(), fractions.len(), "one count per fraction");
     let n = fractions.len();
     if n == 0 {
-        return Vec::new();
+        return;
     }
     // Sanitize: non-finite and negative entries contribute nothing. An
     // infinite entry cannot be honored proportionally, so it is dropped
@@ -36,32 +60,117 @@ pub fn largest_remainder_round(fractions: &[f64], total: usize) -> Vec<usize> {
     let clean = |f: &f64| if f.is_finite() { f.max(0.0) } else { 0.0 };
     let sum: f64 = fractions.iter().map(clean).sum();
     if sum <= 0.0 || !sum.is_finite() {
-        let mut out = vec![0usize; n];
-        out[0] = total;
-        return out;
+        counts.fill(0);
+        counts[0] = total;
+        return;
     }
-    let scaled: Vec<f64> = fractions
-        .iter()
-        .map(|f| clean(f) / sum * total as f64)
-        .collect();
-    let mut counts: Vec<usize> = scaled.iter().map(|s| s.floor() as usize).collect();
-    let assigned: usize = counts.iter().sum();
-    let mut remainder: Vec<(usize, f64)> = scaled
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (i, s - s.floor()))
-        .collect();
+    // Each entry's share of `total` and its remainder past the floor
+    // (never negative: the share is finite and not below zero).
+    let share = |f: &f64| {
+        let s = clean(f) / sum * total as f64;
+        (s.floor(), s - s.floor())
+    };
+    order.clear();
+    let mut assigned = 0;
+    for (i, (f, count)) in fractions.iter().zip(counts.iter_mut()).enumerate() {
+        let (floor, rem) = share(f);
+        *count = floor as usize;
+        assigned += *count;
+        if rem > 0.0 {
+            order.push((i, rem));
+        }
+    }
+    let extra = total.saturating_sub(assigned);
     // Sort by remainder descending, breaking ties by index for determinism.
-    remainder.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    for k in 0..total.saturating_sub(assigned) {
-        counts[remainder[k % n].0] += 1;
+    order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    if extra > order.len() {
+        order.extend(
+            fractions
+                .iter()
+                .enumerate()
+                .filter(|&(_, f)| share(f).1 == 0.0)
+                .map(|(i, _)| (i, 0.0)),
+        );
     }
-    counts
+    for k in 0..extra {
+        counts[order[k % n].0] += 1;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The rounding before partial ordering, kept as the reference: every
+    /// remainder, zero ones included, goes through one full sort.
+    fn reference(fractions: &[f64], total: usize) -> Vec<usize> {
+        let n = fractions.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let clean = |f: &f64| if f.is_finite() { f.max(0.0) } else { 0.0 };
+        let sum: f64 = fractions.iter().map(clean).sum();
+        if sum <= 0.0 || !sum.is_finite() {
+            let mut out = vec![0usize; n];
+            out[0] = total;
+            return out;
+        }
+        let scaled: Vec<f64> = fractions
+            .iter()
+            .map(|f| clean(f) / sum * total as f64)
+            .collect();
+        let mut counts: Vec<usize> = scaled.iter().map(|s| s.floor() as usize).collect();
+        let assigned: usize = counts.iter().sum();
+        let mut remainder: Vec<(usize, f64)> = scaled
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i, s - s.floor()))
+            .collect();
+        remainder.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        for k in 0..total.saturating_sub(assigned) {
+            counts[remainder[k % n].0] += 1;
+        }
+        counts
+    }
+
+    /// An entry as the placement models and the plan cache hand them over:
+    /// mostly zero or a small fraction, sometimes an exact split, a
+    /// negative zero or a degenerate value.
+    fn entry() -> impl Strategy<Value = f64> {
+        (0u8..14, 0.0f64..1.0, 1u32..8).prop_map(|(kind, u, k)| match kind {
+            0..=3 => 0.0,
+            4..=7 => u,
+            8 | 9 => f64::from(k) / 8.0,
+            10 => -0.0,
+            11 => f64::NAN,
+            12 => f64::INFINITY,
+            _ => -u,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The partial ordering rounds as the full sort does, into a
+        /// reused row and work space.
+        #[test]
+        fn matches_the_full_sort(
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(entry(), 0..40), 0usize..300),
+                1..4,
+            ),
+        ) {
+            let mut order = Vec::new();
+            for (fractions, total) in &rows {
+                let expected = reference(fractions, *total);
+                prop_assert_eq!(largest_remainder_round(fractions, *total), expected.clone());
+                let mut counts = vec![7; fractions.len()];
+                largest_remainder_round_into(fractions, *total, &mut counts, &mut order);
+                prop_assert_eq!(counts, expected);
+            }
+        }
+    }
 
     #[test]
     fn exact_fractions_round_exactly() {
