@@ -90,6 +90,12 @@ pub struct MapPlacement {
 /// Propagates LP failures (e.g. an infeasibly tight WAN budget combined
 /// with `forced_dest_gb`; the plain model is always feasible).
 pub fn solve_map_placement(p: &MapProblem) -> Result<MapPlacement, LpError> {
+    map_placement(p, true)
+}
+
+/// [`solve_map_placement`], with the LP started from the In-Place plan
+/// when `start`; the tests solve it cold too and require the same bits.
+fn map_placement(p: &MapProblem, start: bool) -> Result<MapPlacement, LpError> {
     let n = p.input_gb.len();
     assert_eq!(p.tasks_from.len(), n);
     assert_eq!(p.up_gbps.len(), n);
@@ -277,6 +283,28 @@ pub fn solve_map_placement(p: &MapProblem) -> Result<MapPlacement, LpError> {
         }
     }
 
+    // Start from the In-Place plan, a feasible point in closed form: every
+    // source keeps its data, so no upload, download or WAN is used, and
+    // T_map and T_next are the largest in-place compute and drain times.
+    // The answer does not depend on it (`Problem::set_start`); pinned
+    // destinations rule the point out.
+    if start && p.forced_dest_gb.is_none() {
+        let mut point = vec![0.0; nv + 3];
+        for x in 0..n {
+            point[var(x, x)] = 1.0;
+        }
+        point[t_map] = (0..n)
+            .filter(|&y| p.tasks_from[y] > 0)
+            .map(|y| p.task_secs * p.tasks_from[y] as f64 / p.slots[y] as f64)
+            .fold(0.0, f64::max);
+        if let Some(ratio) = p.next_stage_ratio.filter(|&r| r > 0.0) {
+            point[t_next] = (0..n)
+                .map(|y| ratio * p.input_gb[y] / p.up_gbps[y])
+                .fold(0.0, f64::max);
+        }
+        lp.set_start(&point);
+    }
+
     let sol = lp.solve()?;
     let mut fractions = vec![vec![0.0; n]; n];
     for (x, row) in fractions.iter_mut().enumerate() {
@@ -356,6 +384,9 @@ pub(crate) fn assemble_map(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The Fig 4 setup: the LP should move work off the compute-bottlenecked
     /// sites toward site 1, beating in-place map execution.
@@ -457,6 +488,63 @@ mod tests {
         for (x, &from) in fig4_problem().tasks_from.iter().enumerate() {
             let sum: usize = placement.counts[x].iter().sum();
             assert_eq!(sum, from, "source {x}");
+        }
+    }
+
+    /// A random map problem over `n` sites: about a quarter of the sites
+    /// dead (no data, no tasks) and some with tasks but no data, a
+    /// lookahead ratio, a WAN budget and a destination limit drawn or not.
+    fn random_map_problem(seed: u64) -> MapProblem {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..28);
+        let mut input_gb = Vec::with_capacity(n);
+        let mut tasks_from = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (gb, tasks) = match rng.gen_range(0..8) {
+                0 | 1 => (0.0, 0),
+                2 => (0.0, rng.gen_range(1..30)),
+                _ => (rng.gen_range(0.1..20.0), rng.gen_range(0..30)),
+            };
+            input_gb.push(gb);
+            tasks_from.push(tasks);
+        }
+        let total: f64 = input_gb.iter().sum();
+        let mut gbps = |_| f64::from(rng.gen_range(1u32..50)) * 0.1;
+        let up_gbps = (0..n).map(&mut gbps).collect();
+        let down_gbps = (0..n).map(&mut gbps).collect();
+        MapProblem {
+            input_gb,
+            tasks_from,
+            task_secs: rng.gen_range(0.1..5.0),
+            up_gbps,
+            down_gbps,
+            slots: (0..n).map(|_| rng.gen_range(1..30)).collect(),
+            wan_budget_gb: rng.gen_bool(0.4).then(|| rng.gen_range(0.0..1.0) * total),
+            forced_dest_gb: None,
+            next_stage_ratio: rng.gen_bool(0.5).then(|| rng.gen_range(0.0..2.0)),
+            dest_limit: rng.gen_bool(0.5).then(|| rng.gen_range(1..20)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Started from the In-Place plan or cold, the map LP answers with
+        /// the same bits: fractions, times, counts and WAN volume.
+        #[test]
+        fn in_place_start_keeps_the_answer_bits(seed in 0u64..u64::MAX) {
+            let p = random_map_problem(seed);
+            let started = map_placement(&p, true);
+            let cold = map_placement(&p, false);
+            prop_assert!(started.is_ok());
+            prop_assert_eq!(&started, &cold);
+            let (started, cold) = (started.unwrap(), cold.unwrap());
+            let bits = |pl: &MapPlacement| {
+                let mut b: Vec<u64> = pl.fractions.iter().flatten().map(|v| v.to_bits()).collect();
+                b.extend([pl.times.transfer, pl.times.compute, pl.wan_gb].map(f64::to_bits));
+                b
+            };
+            prop_assert_eq!(bits(&started), bits(&cold));
         }
     }
 

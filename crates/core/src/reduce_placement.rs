@@ -76,6 +76,12 @@ pub struct ReducePlacement {
 /// [`LpError::Infeasible`] (callers should budget with [`crate::wan_budget`],
 /// which never goes below the minimum).
 pub fn solve_reduce_placement(p: &ReduceProblem) -> Result<ReducePlacement, LpError> {
+    reduce_placement(p, true)
+}
+
+/// [`solve_reduce_placement`], with the LP started from the `W_min` plan
+/// when `start`; the tests solve it cold too and require the same bits.
+fn reduce_placement(p: &ReduceProblem, start: bool) -> Result<ReducePlacement, LpError> {
     let n = p.shuffle_gb.len();
     assert_eq!(p.up_gbps.len(), n);
     assert_eq!(p.down_gbps.len(), n);
@@ -153,6 +159,34 @@ pub fn solve_reduce_placement(p: &ReduceProblem) -> Result<ReducePlacement, LpEr
         lp.add_constraint(&terms, Relation::Le, w.max(0.0) - total);
     }
 
+    // Start from the `W_min` plan (Eqs. 11–13), a feasible point in closed
+    // form: every reduce task at the site holding the most data, so the
+    // shuffle moves the least data possible, and each time is the largest
+    // that placement needs. The answer does not depend on it
+    // (`Problem::set_start`).
+    if start && n > 0 {
+        let home = (0..n).fold(0, |k, x| {
+            if p.shuffle_gb[x] > p.shuffle_gb[k] {
+                x
+            } else {
+                k
+            }
+        });
+        let mut point = vec![0.0; n + 3];
+        point[home] = 1.0;
+        point[t_shufl] = (0..n)
+            .filter(|&x| x != home)
+            .map(|x| p.shuffle_gb[x] / p.up_gbps[x])
+            .fold((total - p.shuffle_gb[home]) / p.down_gbps[home], f64::max);
+        if !p.network_only {
+            point[t_red] = p.task_secs * p.num_tasks as f64 / p.slots[home] as f64;
+            if let Some(out) = p.next_stage_out_gb.filter(|&out| out > 0.0) {
+                point[t_next] = out / p.up_gbps[home];
+            }
+        }
+        lp.set_start(&point);
+    }
+
     let sol = lp.solve()?;
     let fractions: Vec<f64> = (0..n).map(|x| sol.values[x].max(0.0)).collect();
     let tasks_at = largest_remainder_round(&fractions, p.num_tasks);
@@ -183,6 +217,7 @@ pub fn solve_reduce_placement(p: &ReduceProblem) -> Result<ReducePlacement, LpEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The Fig 4 reduce stage: intermediate (10, 15, 25) GB, 500 tasks of
     /// 1 s.
@@ -257,6 +292,61 @@ mod tests {
         assert!((placement.wan_gb - 25.0).abs() < 1e-6);
         // Everything must sit at site 2 (the one with 25 GB).
         assert!((placement.fractions[2] - 1.0).abs() < 1e-6);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Started from the `W_min` plan or cold, the reduce LP answers
+        /// with the same bits, or fails the same way. Sites without data,
+        /// the shuffle-only model, a lookahead volume and a WAN budget
+        /// exactly at the `reduce_min_wan` floor (where the start is tight
+        /// to rounding) are all drawn.
+        #[test]
+        fn w_min_start_keeps_the_answer_bits(
+            n in 1usize..40,
+            gb in proptest::collection::vec(0u8..20, 40),
+            links in proptest::collection::vec(1u8..50, 80),
+            slots in proptest::collection::vec(1usize..30, 40),
+            num_tasks in 1usize..300,
+            task_secs in 0.1f64..5.0,
+            network_only in proptest::bool::ANY,
+            out in proptest::option::of(0.0f64..30.0),
+            budget in 0u8..4,
+            above in 0.0f64..1.0,
+        ) {
+            // Half the draws leave a site without data.
+            let shuffle_gb: Vec<f64> =
+                gb[..n].iter().map(|&g| f64::from(g.saturating_sub(9)) * 1.3).collect();
+            let floor = crate::wan::reduce_min_wan(&shuffle_gb);
+            let total: f64 = shuffle_gb.iter().sum();
+            let p = ReduceProblem {
+                shuffle_gb,
+                num_tasks,
+                task_secs,
+                up_gbps: links[..n].iter().map(|&v| f64::from(v) * 0.1).collect(),
+                down_gbps: links[40..40 + n].iter().map(|&v| f64::from(v) * 0.1).collect(),
+                slots: slots[..n].to_vec(),
+                wan_budget_gb: match budget {
+                    0 => None,
+                    1 => Some(floor),
+                    _ => Some(floor + above * (total - floor)),
+                },
+                network_only,
+                next_stage_out_gb: out,
+            };
+            let started = reduce_placement(&p, true);
+            let cold = reduce_placement(&p, false);
+            prop_assert_eq!(&started, &cold);
+            if let (Ok(started), Ok(cold)) = (started, cold) {
+                let bits = |pl: &ReducePlacement| {
+                    let mut b: Vec<u64> = pl.fractions.iter().map(|v| v.to_bits()).collect();
+                    b.extend([pl.times.transfer, pl.times.compute, pl.wan_gb].map(f64::to_bits));
+                    b
+                };
+                prop_assert_eq!(bits(&started), bits(&cold));
+            }
+        }
     }
 
     #[test]

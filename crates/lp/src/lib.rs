@@ -20,6 +20,9 @@
 //! - `≤`, `≥` and `=` constraints with arbitrary-sign right-hand sides,
 //! - non-negative decision variables with optional upper bounds
 //!   ([`Problem::set_upper`]),
+//! - a caller's feasible start point ([`Problem::set_start`]): the solve
+//!   begins at a crash basis whose basic solution is that point and skips
+//!   phase 1, with the same answer as a cold solve,
 //! - infeasibility and unboundedness detection,
 //! - normalized pricing (the largest reduced-cost violation squared over
 //!   the column's squared norm enters) for a warm-up, then Bland's

@@ -391,6 +391,12 @@ pub(crate) struct Refinement {
 }
 
 impl Refinement {
+    /// The basis completion's buffers, lent to the solver's crash basis
+    /// ([`crate::revised`]) before the extraction needs them.
+    pub fn completion(&mut self) -> &mut Completion {
+        &mut self.completion
+    }
+
     /// Factors `basis_cols`, then solves `B x_B = b'` into `xb` and
     /// `Bᵀ y = c_B` (the basis costs under the minimization-sense
     /// structural objective) into `y`. `false` when the basis does not
@@ -510,9 +516,10 @@ impl Refinement {
 /// Marks a row no chosen column pivots on.
 const UNCHOSEN: u32 = u32::MAX;
 
-/// The basis completion of [`Refinement::canonical`]: the chosen columns,
-/// each eliminated against the ones chosen before it, and the candidate
-/// accumulator. [`Completion::complete`] re-initialises all of it.
+/// The basis completion of [`Refinement::canonical`] and of the solver's
+/// crash basis: the chosen columns, each eliminated against the ones
+/// chosen before it, and the candidate accumulator.
+/// [`Completion::reset`] re-initialises all of it.
 #[derive(Default)]
 pub(crate) struct Completion {
     chosen: Vec<usize>,
@@ -554,22 +561,7 @@ impl Completion {
         support: &[usize],
     ) -> Option<&[usize]> {
         let m = sys.m();
-        self.chosen.clear();
-        self.red_ptr.clear();
-        self.red_ptr.push(0);
-        self.red_row.clear();
-        self.red_val.clear();
-        self.pivot_row.clear();
-        self.pivot_val.clear();
-        self.chosen_at.clear();
-        self.chosen_at.resize(m, UNCHOSEN);
-        self.x.clear();
-        self.x.resize(m, 0.0);
-        self.in_x.clear();
-        self.in_x.resize(m, false);
-        self.touched.clear();
-        self.pending.clear();
-        self.pending.resize(m.div_ceil(64), 0);
+        self.reset(m);
         for &c in support {
             // The support of a vertex is linearly independent; a failure
             // here means the "vertex" was numerically degenerate beyond
@@ -613,6 +605,37 @@ impl Completion {
         Some(&self.chosen)
     }
 
+    /// Starts an elimination over `m` rows with no column chosen.
+    pub fn reset(&mut self, m: usize) {
+        self.chosen.clear();
+        self.red_ptr.clear();
+        self.red_ptr.push(0);
+        self.red_row.clear();
+        self.red_val.clear();
+        self.pivot_row.clear();
+        self.pivot_val.clear();
+        self.chosen_at.clear();
+        self.chosen_at.resize(m, UNCHOSEN);
+        self.x.clear();
+        self.x.resize(m, 0.0);
+        self.in_x.clear();
+        self.in_x.resize(m, false);
+        self.touched.clear();
+        self.pending.clear();
+        self.pending.resize(m.div_ceil(64), 0);
+    }
+
+    /// The columns chosen since the last [`Completion::reset`], in the
+    /// order they were chosen.
+    pub fn chosen(&self) -> &[usize] {
+        &self.chosen
+    }
+
+    /// Whether a chosen column pivots on row `r`.
+    pub fn pivots_on(&self, r: usize) -> bool {
+        self.chosen_at[r] != UNCHOSEN
+    }
+
     /// Eliminates column `c` against the chosen columns and chooses it if a
     /// pivot of magnitude `> 1e-7` remains on a row no chosen column
     /// pivots on (max magnitude, ties to the smallest row).
@@ -628,7 +651,7 @@ impl Completion {
     /// never pivot candidates, so dropping them changes nothing the
     /// completion decides and leaves each column's entries on the pivot
     /// rows of later columns, whose bits it queues.
-    fn add(&mut self, sys: &NormSystem, c: usize) -> bool {
+    pub fn add(&mut self, sys: &NormSystem, c: usize) -> bool {
         let words = self.pending.len();
         let mut lo = words; // lowest word with a pending bit
         let (rows, vals) = sys.col(c);

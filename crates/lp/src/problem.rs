@@ -66,6 +66,8 @@ pub struct Problem {
     relation: Vec<Relation>,
     rhs: Vec<f64>,
     upper: Vec<f64>,
+    /// A feasible point the solve starts from ([`Problem::set_start`]).
+    start: Option<Vec<f64>>,
 }
 
 impl Problem {
@@ -90,6 +92,7 @@ impl Problem {
             relation: Vec::new(),
             rhs: Vec::new(),
             upper: vec![f64::INFINITY; num_vars],
+            start: None,
         }
     }
 
@@ -155,6 +158,19 @@ impl Problem {
         &self.upper
     }
 
+    /// Offers `values` (one per variable) as a feasible point for the
+    /// solve to start from. The solve begins at a basis whose basic
+    /// solution is that point, where a basis of its support reproduces it
+    /// within the solver's tolerance, and so skips phase 1; it starts from
+    /// the slack basis as usual where the point breaks a row or a bound.
+    /// The answer is the same either way: values and objective are those
+    /// of the optimal vertex, whatever path reaches it. A point of the
+    /// wrong length or with a non-finite value is ignored.
+    pub fn set_start(&mut self, values: &[f64]) {
+        let usable = values.len() == self.num_vars && values.iter().all(|v| v.is_finite());
+        self.start = usable.then(|| values.to_vec());
+    }
+
     /// The constraints added so far, in input order.
     pub(crate) fn constraints(&self) -> impl Iterator<Item = Constraint<'_>> + '_ {
         self.row_ptr
@@ -187,35 +203,40 @@ impl Problem {
 
     /// Solves the problem, returning variable values and objective value.
     ///
-    /// Runs the sparse revised simplex (module `revised`) and extracts the
-    /// answer canonically — values and duals are re-derived from the optimal
-    /// vertex by a deterministic refinement, so the reported bits are a
-    /// function of the problem, not of the pivot path.
+    /// Runs the sparse revised simplex (module `revised`), from the start
+    /// point when one is set and usable ([`Problem::set_start`]), and
+    /// extracts the answer canonically — values and duals are re-derived
+    /// from the optimal vertex by a deterministic refinement, so the
+    /// reported values and objective are a function of the problem, not of
+    /// the start or the pivot path. Duals come from the terminal basis, so
+    /// at a dual-degenerate optimum they may differ between paths.
     ///
     /// Returns [`LpError::Infeasible`] when no assignment satisfies all
     /// constraints, [`LpError::Unbounded`] when the objective can improve
     /// without limit, and [`LpError::SingularBasis`] when a refactorization
     /// meets a numerically singular basis (no basis repair is attempted).
     pub fn solve(&self) -> Result<Solution, LpError> {
-        let result = self.solve_with(Presolve::new);
+        let result = self.solve_with(Presolve::new, self.start.as_deref());
         #[cfg(feature = "audit")]
         self.audit(&result);
         result
     }
 
-    /// Solves with every row kept: the path a presolved answer must match
-    /// bit for bit ([`certify::audit`]).
+    /// Solves with every row kept and from the slack basis, whatever start
+    /// is set: the path a presolved, started answer must match bit for bit
+    /// ([`certify::audit`]).
     #[cfg(any(test, feature = "audit"))]
     pub(crate) fn solve_unreduced(&self) -> Result<Solution, LpError> {
-        self.solve_with(Presolve::keep_all)
+        self.solve_with(Presolve::keep_all, None)
     }
 
     /// Runs the sparse simplex on the minimization-sense objective, with
-    /// `presolve` choosing the rows it pivots on, and flips a maximization's
-    /// answer back.
+    /// `presolve` choosing the rows it pivots on and from `start` if given,
+    /// and flips a maximization's answer back.
     fn solve_with(
         &self,
         presolve: fn(&NormSystem, &[f64]) -> Presolve,
+        start: Option<&[f64]>,
     ) -> Result<Solution, LpError> {
         let flip = matches!(self.sense, Sense::Max);
         let objective: Vec<f64> = if flip {
@@ -223,7 +244,7 @@ impl Problem {
         } else {
             self.objective.clone()
         };
-        let mut sol = solve_sparse(self, &objective, presolve)?;
+        let mut sol = solve_sparse(self, &objective, presolve, start)?;
         if flip {
             flip_sense(&mut sol);
         }
@@ -246,6 +267,9 @@ impl Problem {
             );
             for c in self.constraints() {
                 eprintln!("CON {:?} {:?} rhs={:?}", c.relation, c.terms, c.rhs);
+            }
+            if let Some(start) = &self.start {
+                eprintln!("START {start:?}");
             }
             panic!("lp audit: {fault}");
         }

@@ -7,7 +7,9 @@
 //! reduced cost has the sign that its value's place in `[0, ub]` allows, and
 //! the objective is `cᵀx`. These are the optimality conditions of the LP,
 //! so an answer that passes is optimal to within the tolerances, whatever
-//! its size. [`audit`] adds path independence (DESIGN.md §13.2).
+//! its size. [`audit`] adds path independence (DESIGN.md §13.2): the
+//! presolved solve, started where the caller set a start point, against a
+//! cold solve of every row.
 
 use super::{Problem, Relation, Sense};
 use crate::types::{LpError, Solution, SUPPORT_EPS};
@@ -100,8 +102,9 @@ pub(crate) fn certify(p: &Problem, sol: &Solution) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Certifies `presolved`, the answer [`Problem::solve`] returns, then
-/// re-solves `p` without the presolve and requires the same error kind, or
+/// Certifies `presolved`, the answer [`Problem::solve`] returns (from the
+/// start point when one is set), then re-solves `p` without the presolve
+/// and from the slack basis, and requires the same error kind, or
 /// bit-identical values and objective. A numerical error
 /// ([`LpError::SingularBasis`], [`LpError::IterationLimit`]) on one path
 /// where the other returns an answer fails too.

@@ -9,6 +9,21 @@
 //! then refined on the full system, so values, objective and one dual per
 //! input constraint come from the same refinement as an unreduced solve.
 //!
+//! A solve begins from one of two bases. Given a start point
+//! ([`crate::Problem::set_start`]), [`Rev::start_from`] builds a crash
+//! basis: the point's support (its positive structurals and the slacks of
+//! the rows it leaves slack), eliminated with the extraction's
+//! [`Completion`], plus the unit column of every row left unpivoted. When
+//! that basis factors to a feasible basic solution with no artificial
+//! above zero, phase 1 has nothing to do and phase 2 starts there. The
+//! placement models hand over the paper's In-Place plan (map stages) and
+//! `W_min` plan (reduce stages), which no map or reduce LP of the
+//! benchmark's workloads rejects. Without a start, or when the crash basis
+//! is not feasible, the solve starts from the slack/artificial basis and
+//! runs phase 1 as before. Both paths end in the same face cleanup and
+//! refinement, so values and objective keep their bits; duals come from the
+//! terminal basis and may differ at a dual-degenerate optimum.
+//!
 //! The basis inverse is represented as a sparse LU factorization
 //! ([`crate::sparsela::SparseLu`]) composed with a product-form eta file;
 //! every pivot appends one eta (the FTRAN'd entering column), and the basis
@@ -33,7 +48,8 @@
 //! the FTRAN'd entering column is kept across pivots and the multipliers
 //! across a phase's pivots.
 //! The basis inverse and the extraction's work space
-//! ([`crate::norm::Refinement`]) sit in one per-thread scratch that a solve
+//! ([`crate::norm::Refinement`], whose [`Completion`] the crash basis
+//! borrows first) sit in one per-thread scratch that a solve
 //! takes and puts back and that every use re-initialises, so once a thread
 //! has solved a problem of some size, a solve of that size allocates a
 //! fixed number of buffers, whatever its pivots and refactorizations. The
@@ -71,9 +87,9 @@
 //! path only: the face cleanup and the refinement make the reported values
 //! and objective a function of the problem, so no answer bit depends on it.
 
-use crate::norm::{bounded_rhs_into, clamp_value, user_duals, NormSystem, Refinement};
+use crate::norm::{bounded_rhs_into, clamp_value, user_duals, Completion, NormSystem, Refinement};
 use crate::presolve::Presolve;
-use crate::problem::Problem;
+use crate::problem::{Problem, Relation};
 use crate::sparsela::SparseLu;
 use crate::types::{LpError, Solution, EPS, FACE_EPS};
 use std::cell::Cell;
@@ -210,17 +226,12 @@ struct Rev<'a> {
 }
 
 impl<'a> Rev<'a> {
-    /// Sets up the all-slack/artificial initial basis (phase-1 start),
-    /// factored into `inv`.
-    fn new(sys: &'a NormSystem, upper: &[f64], inv: &'a mut BasisInverse) -> Result<Self, LpError> {
+    /// Sets up the solver state with no basis yet; [`Rev::set_basis`] or
+    /// [`Rev::start_from`] gives it one, factored into `inv`.
+    fn new(sys: &'a NormSystem, upper: &[f64], inv: &'a mut BasisInverse) -> Self {
         let m = sys.m();
         let mut ub = vec![f64::INFINITY; sys.total_cols];
         ub[..sys.num_vars].copy_from_slice(upper);
-        let mut status = vec![Status::Lower; sys.total_cols];
-        let basis_cols = sys.init_basis.clone();
-        for &c in &basis_cols {
-            status[c] = Status::Basic;
-        }
         let norm2 = (0..sys.total_cols)
             .map(|c| {
                 let sq: f64 = sys.col(c).1.iter().map(|v| v * v).sum();
@@ -231,20 +242,97 @@ impl<'a> Rev<'a> {
                 }
             })
             .collect();
-        let mut rev = Rev {
+        Rev {
             sys,
             ub,
-            status,
-            basis_cols,
+            status: vec![Status::Lower; sys.total_cols],
+            basis_cols: Vec::with_capacity(m),
             xb: Vec::with_capacity(m),
             inv,
             norm2,
             pivots: 0,
             w: Vec::with_capacity(m),
             reordered: Vec::with_capacity(m),
+        }
+    }
+
+    /// Makes `cols` the basis, every other column at its lower bound, and
+    /// factors it. The slack/artificial basis `sys.init_basis` is the
+    /// phase-1 start.
+    fn set_basis(&mut self, cols: &[usize]) -> Result<(), LpError> {
+        self.basis_cols.clear();
+        self.basis_cols.extend_from_slice(cols);
+        self.mark_basis();
+        self.refactor()
+    }
+
+    /// Sets every column's status from `basis_cols`: basic there, at its
+    /// lower bound elsewhere.
+    fn mark_basis(&mut self) {
+        self.status.fill(Status::Lower);
+        for &c in &self.basis_cols {
+            self.status[c] = Status::Basic;
+        }
+    }
+
+    /// The crash basis of the start point `x` (structural values): its
+    /// support, the columns that may enter with `x_j > 0` and the slacks of
+    /// the rows it leaves slack by more than [`EPS`], is eliminated in
+    /// ascending column order with `completion`; a support column that
+    /// adds no rank is left out. Each row no chosen column pivots on gets
+    /// its own unit column, the slack or, on an `=` row, the artificial,
+    /// which keeps the basis nonsingular. Factored, the basis is the start
+    /// when every basic value lies in `[−EPS, ub + EPS]` and no artificial
+    /// is above `EPS`: its basic solution is then a feasible point and
+    /// phase 1 has nothing to do. Returns whether it is; when it is not,
+    /// the caller sets another basis.
+    fn start_from(&mut self, x: &[f64], completion: &mut Completion) -> bool {
+        let sys = self.sys;
+        let m = sys.m();
+        let ub = &self.ub;
+        let value = |j: usize| {
+            if x[j] > 0.0 && ub[j] != 0.0 {
+                x[j]
+            } else {
+                0.0
+            }
         };
-        rev.refactor()?;
-        Ok(rev)
+        completion.reset(m);
+        for j in (0..sys.num_vars).filter(|&j| value(j) > 0.0) {
+            completion.add(sys, j);
+        }
+        for (r, row) in sys.rows.iter().enumerate() {
+            let activity: f64 = sys
+                .terms(r)
+                .iter()
+                .map(|&(j, a)| a * value(j as usize))
+                .sum();
+            let slack = match row.rel {
+                Relation::Le => row.rhs - activity,
+                Relation::Ge => activity - row.rhs,
+                Relation::Eq => continue,
+            };
+            if slack > EPS {
+                completion.add(sys, sys.dual_col[r]);
+            }
+        }
+        self.basis_cols.clear();
+        self.basis_cols.extend_from_slice(completion.chosen());
+        self.basis_cols.extend(
+            (0..m)
+                .filter(|&r| !completion.pivots_on(r))
+                .map(|r| sys.dual_col[r]),
+        );
+        self.mark_basis();
+        self.refactor().is_ok()
+            && self.basis_cols.iter().zip(&self.xb).all(|(&c, &v)| {
+                let top = if c >= sys.art_start {
+                    EPS
+                } else {
+                    self.ub[c] + EPS
+                };
+                v >= -EPS && v <= top
+            })
     }
 
     /// Rebuilds the LU factorization of the current basis and recomputes the
@@ -644,18 +732,22 @@ pub(crate) fn solve_sparse(
     p: &Problem,
     objective: &[f64],
     presolve: fn(&NormSystem, &[f64]) -> Presolve,
+    start: Option<&[f64]>,
 ) -> Result<Solution, LpError> {
     let mut scratch = SCRATCH.with(Cell::take);
-    let result = solve_in(p, objective, presolve, &mut scratch);
+    let result = solve_in(p, objective, presolve, start, &mut scratch);
     SCRATCH.with(|s| s.set(scratch));
     result
 }
 
-/// [`solve_sparse`] in the buffers of `scratch`.
+/// [`solve_sparse`] in the buffers of `scratch`: from the crash basis of
+/// `start` when [`Rev::start_from`] accepts it, else from the
+/// slack/artificial basis through phase 1.
 fn solve_in(
     p: &Problem,
     objective: &[f64],
     presolve: fn(&NormSystem, &[f64]) -> Presolve,
+    start: Option<&[f64]>,
     scratch: &mut Scratch,
 ) -> Result<Solution, LpError> {
     let num_vars = p.num_vars();
@@ -663,20 +755,24 @@ fn solve_in(
     let full = NormSystem::build(p);
     let pre = presolve(&full, upper);
     let sys = &pre.sys;
-    let mut rev = Rev::new(sys, &pre.upper, &mut scratch.inverse)?;
+    let mut rev = Rev::new(sys, &pre.upper, &mut scratch.inverse);
+    let started = start.is_some_and(|x| rev.start_from(x, scratch.refinement.completion()));
 
-    // Phase 1: minimize the sum of artificials.
-    if sys.total_cols > sys.art_start {
-        let mut c1 = vec![0.0; sys.total_cols];
-        for c in c1.iter_mut().skip(sys.art_start) {
-            *c = 1.0;
+    if !started {
+        rev.set_basis(&sys.init_basis)?;
+        // Phase 1: minimize the sum of artificials.
+        if sys.total_cols > sys.art_start {
+            let mut c1 = vec![0.0; sys.total_cols];
+            for c in c1.iter_mut().skip(sys.art_start) {
+                *c = 1.0;
+            }
+            rev.optimize(&c1)?;
+            if rev.artificial_residual() > 1e-7 {
+                return Err(LpError::Infeasible);
+            }
         }
-        rev.optimize(&c1)?;
-        if rev.artificial_residual() > 1e-7 {
-            return Err(LpError::Infeasible);
-        }
-        rev.retire_artificials();
     }
+    rev.retire_artificials();
 
     // Phase 2 + canonical face cleanup. Retired artificials (ub = 0) never
     // re-enter, like the dead-source pins.
@@ -690,7 +786,7 @@ fn solve_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Problem, Relation};
+    use crate::Problem;
 
     /// `Rev::refactor` factors the unit columns first whatever order the
     /// basis positions hold. A basis of one dense structural column at
@@ -706,7 +802,8 @@ mod tests {
         }
         let sys = NormSystem::build(&p);
         let mut inv = BasisInverse::default();
-        let mut rev = Rev::new(&sys, &[f64::INFINITY], &mut inv).unwrap();
+        let mut rev = Rev::new(&sys, &[f64::INFINITY], &mut inv);
+        rev.set_basis(&sys.init_basis).unwrap();
         rev.basis_cols = std::iter::once(0)
             .chain(sys.init_basis[..m - 1].iter().copied())
             .collect();
@@ -715,6 +812,32 @@ mod tests {
         rev.refactor().unwrap();
         assert_eq!(rev.basis_cols[m - 1], 0);
         assert_eq!(rev.inv.lu.nnz(), 2 * m - 1);
+    }
+
+    /// The crash basis of a vertex start is accepted with no artificial
+    /// above zero, and its basic solution is the vertex; the one of a
+    /// start that breaks a row is rejected, and the slack basis can then
+    /// be set over it. The rows are those of `two_cover_rows` in
+    /// `tests.rs`.
+    #[test]
+    fn crash_basis_is_the_start_vertex_or_rejected() {
+        let mut p = Problem::minimize(2);
+        p.add_constraint(&[(0, 1.0), (1, 2.0)], Relation::Ge, 4.0);
+        p.add_constraint(&[(0, 3.0), (1, 1.0)], Relation::Ge, 6.0);
+        p.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Le, 10.0);
+        let sys = NormSystem::build(&p);
+        let mut inv = BasisInverse::default();
+        let mut completion = Completion::default();
+        let mut rev = Rev::new(&sys, &[f64::INFINITY; 2], &mut inv);
+        assert!(rev.start_from(&[4.0, 0.0], &mut completion));
+        assert_eq!(rev.artificial_residual(), 0.0);
+        let x0 = rev.basis_cols.iter().position(|&c| c == 0).unwrap();
+        assert!((rev.xb[x0] - 4.0).abs() < 1e-12);
+        assert!(rev.status[1] == Status::Lower);
+        assert!(!rev.start_from(&[1.0, 0.0], &mut completion));
+        rev.set_basis(&sys.init_basis).unwrap();
+        assert!(rev.artificial_residual() > 0.0);
+        assert!(rev.status[0] == Status::Lower);
     }
 
     /// A basis holding one column at two positions is singular, and
@@ -726,7 +849,8 @@ mod tests {
         p.add_constraint(&[(0, 3.0), (1, 1.0)], Relation::Le, 6.0);
         let sys = NormSystem::build(&p);
         let mut inv = BasisInverse::default();
-        let mut rev = Rev::new(&sys, &[f64::INFINITY; 2], &mut inv).unwrap();
+        let mut rev = Rev::new(&sys, &[f64::INFINITY; 2], &mut inv);
+        rev.set_basis(&sys.init_basis).unwrap();
         rev.basis_cols = vec![0, 0];
         assert_eq!(rev.refactor().err(), Some(LpError::SingularBasis));
         assert_eq!(

@@ -260,6 +260,64 @@ fn pivot_counts_are_reported() {
     assert!(sol.pivots >= 2, "needed pivots to reach (2, 6)");
 }
 
+/// `min x + y` over `x + 2y ≥ 4`, `3x + y ≥ 6` and `x + y ≤ 10`, with
+/// vertices `(1.6, 1.2)` (the optimum), `(4, 0)` and `(0, 6)`. The `≥`
+/// rows start the slack basis with artificials above zero, so a cold solve
+/// pivots in phase 1.
+fn two_cover_rows() -> Problem {
+    let mut p = Problem::minimize(2);
+    p.set_objective(&[(0, 1.0), (1, 1.0)]);
+    p.add_constraint(&[(0, 1.0), (1, 2.0)], Relation::Ge, 4.0);
+    p.add_constraint(&[(0, 3.0), (1, 1.0)], Relation::Ge, 6.0);
+    p.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Le, 10.0);
+    p
+}
+
+/// `p` solved from `start`: its answer must carry the cold answer's bits.
+/// Returns the started and the cold pivots.
+fn started_and_cold_pivots(p: &Problem, start: &[f64]) -> (usize, usize) {
+    let cold = p.solve().unwrap();
+    let mut started = p.clone();
+    started.set_start(start);
+    let warm = started.solve().unwrap();
+    assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
+    let bits = |s: &crate::Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&warm), bits(&cold));
+    (warm.pivots, cold.pivots)
+}
+
+/// A start at the optimal vertex needs no pivot at all, where the cold
+/// solve needs phase 1 first; a start at another vertex skips phase 1 and
+/// pivots once along an edge. Both return the cold answer's bits.
+#[test]
+fn a_start_at_a_vertex_skips_phase_1() {
+    let p = two_cover_rows();
+    let (started, cold) = started_and_cold_pivots(&p, &[1.6, 1.2]);
+    assert_eq!(started, 0);
+    assert!(cold > 0, "cold pivots {cold}");
+    let (started, cold) = started_and_cold_pivots(&p, &[4.0, 0.0]);
+    assert!(started < cold, "started pivots {started}, cold {cold}");
+}
+
+/// A start that breaks a row, holds a non-finite value or has the wrong
+/// length is ignored: the solve runs cold, with the cold pivots and bits.
+/// `(1, 0)` breaks both `≥` rows, and the basis of its support puts `x = 2`
+/// and the first row's surplus below zero.
+#[test]
+fn an_unusable_start_is_ignored() {
+    let p = two_cover_rows();
+    for start in [
+        vec![1.0, 0.0],
+        vec![f64::NAN, 1.0],
+        vec![f64::INFINITY, 0.0],
+        vec![1.6],
+        vec![1.6, 1.2, 0.0],
+    ] {
+        let (started, cold) = started_and_cold_pivots(&p, &start);
+        assert_eq!(started, cold, "start {start:?}");
+    }
+}
+
 #[test]
 fn wildly_scaled_coefficients_still_solve() {
     // Bandwidths in GB/s (1e-2) against volumes in GB (1e2): the row
@@ -600,9 +658,10 @@ proptest! {
     }
 
     /// Placement-shaped LPs (4–30 sources) on which both presolve
-    /// reductions fire: the presolved answer certifies and matches the
-    /// unreduced one bit for bit, carries one dual per input constraint,
-    /// and every dropped row's dual is exactly zero.
+    /// reductions fire: the presolved answer, cold and started from the
+    /// In-Place point, certifies and matches the cold unreduced one bit
+    /// for bit, carries one dual per input constraint, and every dropped
+    /// row's dual is exactly zero.
     #[test]
     fn presolved_placement_lps_match_the_unreduced_solve(
         n in 4usize..31,
@@ -626,11 +685,15 @@ proptest! {
         let upper: Vec<f64> = (0..p.num_vars()).map(|v| p.upper_bound(v)).collect();
         let pre = Presolve::new(&NormSystem::build(&p), &upper);
         prop_assert_eq!(pre.sys.m(), p.num_constraints() - never_binds.len() - fixing);
-        solve_both(&p)?;
-        if let Ok(sol) = p.solve() {
-            prop_assert_eq!(sol.duals.len(), p.num_constraints());
-            for &r in &never_binds {
-                prop_assert_eq!(sol.duals[r].to_bits(), 0.0f64.to_bits(), "row {}", r);
+        let mut started = p.clone();
+        started.set_start(&in_place_start(&tasks, &slots[..n], dests, floor));
+        for p in [&p, &started] {
+            solve_both(p)?;
+            if let Ok(sol) = p.solve() {
+                prop_assert_eq!(sol.duals.len(), p.num_constraints());
+                for &r in &never_binds {
+                    prop_assert_eq!(sol.duals[r].to_bits(), 0.0f64.to_bits(), "row {}", r);
+                }
             }
         }
     }
@@ -799,9 +862,10 @@ impl Fnv {
 /// Instance `k` of the pinned placement corpus: 4–40 sources, 1–4 shared
 /// destinations, and data, tasks, bandwidths, slots, costs, budget, floor
 /// and `keep` set drawn from `k` by a fixed 64-bit mix (the same ranges as
-/// `presolved_placement_lps_match_the_unreduced_solve`).
+/// `presolved_placement_lps_match_the_unreduced_solve`), with its In-Place
+/// point as the start when `start`.
 #[cfg(not(miri))]
-fn corpus_lp(k: u64) -> Problem {
+fn corpus_lp(k: u64, start: bool) -> Problem {
     let mut state = k.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x2545_f491_4f6c_dd1d;
     let mut draw = |below: u64| {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -821,30 +885,49 @@ fn corpus_lp(k: u64) -> Problem {
     let budget = byte(0, 40);
     let floor = byte(0, 8);
     let keep: Vec<usize> = (0..byte(0, 3)).map(|_| draw(n as u64) as usize).collect();
-    placement_lp(
+    let mut p = placement_lp(
         &data, &tasks, &up, &slots, &cost, dests, budget, floor, &keep,
     )
-    .0
+    .0;
+    if start {
+        p.set_start(&in_place_start(&tasks, &slots, dests, floor));
+    }
+    p
 }
 
-/// Pins the simplex on a fixed corpus of placement-shaped LPs, each solved
-/// presolved and unreduced: the total of [`crate::Solution::pivots`] and an
-/// FNV-1a digest of every value's and objective's bits (an error's kind in
-/// their place). A pricing change may lower the pivot total, but the
-/// canonical extraction must leave the digest where it is: the reported
-/// values are a function of the problem, not of the pivot path.
-///
-/// When the pivot total changes on purpose, the failure message prints the
-/// new value to paste in.
-#[test]
+/// The In-Place point of a [`placement_lp`]: every source keeps its data
+/// (`a[x][x] = 1`, nothing moves) and `T` is the largest compute time,
+/// or the floor when that is larger.
 #[cfg(not(miri))]
-fn placement_corpus_pivots_and_answer_bits_are_pinned() {
-    const PIVOTS: usize = 5011;
-    const DIGEST: u64 = 0x70e2_8614_911f_55b1;
+fn in_place_start(tasks: &[u8], slots: &[u8], dests: usize, floor: u8) -> Vec<f64> {
+    let n = tasks.len();
+    let mut x = Vec::new();
+    for s in 0..n {
+        let pairs = if s < dests { dests } else { dests + 1 };
+        let at = x.len();
+        x.resize(at + pairs, 0.0);
+        x[at + s.min(dests)] = 1.0;
+    }
+    let t = tasks
+        .iter()
+        .zip(slots)
+        .map(|(&k, &s)| f64::from(k) / f64::from(s))
+        .fold(f64::from(floor) / 4.0, f64::max);
+    x.push(t);
+    x
+}
+
+/// The pivot total and answer digest of the pinned corpus, each LP solved
+/// presolved (from its In-Place point when `start`) and unreduced (always
+/// from the slack basis): the total of [`crate::Solution::pivots`] and an
+/// FNV-1a digest of every value's and objective's bits (an error's kind in
+/// their place).
+#[cfg(not(miri))]
+fn corpus_pivots_and_digest(start: bool) -> (usize, u64) {
     let mut h = Fnv::new();
     let mut pivots = 0;
     for k in 0..64 {
-        let p = corpus_lp(k);
+        let p = corpus_lp(k, start);
         for result in [p.solve(), p.solve_unreduced()] {
             match result {
                 Ok(sol) => {
@@ -858,11 +941,45 @@ fn placement_corpus_pivots_and_answer_bits_are_pinned() {
             }
         }
     }
+    (pivots, h.0)
+}
+
+/// The answer digest of the pinned corpus, with or without start points.
+#[cfg(not(miri))]
+const CORPUS_DIGEST: u64 = 0x70e2_8614_911f_55b1;
+
+/// Pins the simplex on a fixed corpus of placement-shaped LPs, each solved
+/// presolved and unreduced ([`corpus_pivots_and_digest`]). A pricing
+/// change may lower the pivot total, but the canonical extraction must
+/// leave the digest where it is: the reported values are a function of the
+/// problem, not of the pivot path.
+///
+/// When the pivot total changes on purpose, the failure message prints the
+/// new value to paste in.
+#[test]
+#[cfg(not(miri))]
+fn placement_corpus_pivots_and_answer_bits_are_pinned() {
+    const PIVOTS: usize = 5011;
+    let (pivots, digest) = corpus_pivots_and_digest(false);
     assert_eq!(
-        (pivots, h.0),
-        (PIVOTS, DIGEST),
-        "placement corpus: pivots {pivots}, digest {:#018x}",
-        h.0
+        (pivots, digest),
+        (PIVOTS, CORPUS_DIGEST),
+        "placement corpus: pivots {pivots}, digest {digest:#018x}",
+    );
+}
+
+/// The same corpus with each presolved solve started from its In-Place
+/// point: the crash basis replaces phase 1, so the pivot total falls, and
+/// the digest is the cold one's.
+#[test]
+#[cfg(not(miri))]
+fn placement_corpus_from_in_place_starts_keeps_the_answer_bits() {
+    const PIVOTS: usize = 3275;
+    let (pivots, digest) = corpus_pivots_and_digest(true);
+    assert_eq!(
+        (pivots, digest),
+        (PIVOTS, CORPUS_DIGEST),
+        "started placement corpus: pivots {pivots}, digest {digest:#018x}",
     );
 }
 

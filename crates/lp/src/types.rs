@@ -58,7 +58,9 @@ pub struct Solution {
     /// degenerate. In the placement models these read as "seconds saved per
     /// extra GB/s on this link / per extra slot at this site".
     pub duals: Vec<f64>,
-    /// Number of simplex iterations performed across both phases (basis
-    /// changes plus bound flips).
+    /// Number of simplex iterations performed (basis changes plus bound
+    /// flips) in phase 1, phase 2 and the face cleanup. A solve started
+    /// from a usable start point ([`crate::Problem::set_start`]) runs no
+    /// phase 1, so it usually counts fewer than a cold one.
     pub pivots: usize,
 }

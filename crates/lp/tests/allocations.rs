@@ -1,7 +1,8 @@
 //! The solver's allocations per solve do not grow with its pivots or its
 //! refactorizations: the LU refactors into its previous arrays, the eta
-//! file is flat, and the constraint rows are stored flat, so what a solve
-//! allocates depends on the problem's size, not on the path to its
+//! file is flat, the constraint rows are stored flat, and the crash basis
+//! of a start point eliminates in the extraction's kept buffers, so what
+//! a solve allocates depends on the problem's size, not on the path to its
 //! optimum.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -55,8 +56,10 @@ static COUNTING: Counting = Counting;
 /// epigraph column `T` bounds every upload, download and compute time,
 /// and moving data costs a little. Data, tasks, links and slots are drawn
 /// from `seed`; the spread of the data volumes cycles with it, which
-/// spreads the pivot counts.
-fn map_lp(n: usize, dests: usize, seed: u64) -> Problem {
+/// spreads the pivot counts. With `start`, the solve starts from the
+/// In-Place point: every site keeps its data and `T` is the largest
+/// compute time.
+fn map_lp(n: usize, dests: usize, seed: u64, start: bool) -> Problem {
     let mut state = seed;
     let mut draw = |lo: u64, hi: u64| {
         state = state
@@ -112,6 +115,14 @@ fn map_lp(n: usize, dests: usize, seed: u64) -> Problem {
         terms.push((t, -slots[y]));
         p.add_constraint(&terms, Relation::Le, 0.0);
     }
+    if start {
+        let mut point = vec![0.0; nv + 1];
+        for x in 0..n {
+            point[col(x, x)] = 1.0;
+        }
+        point[t] = (0..n).map(|y| tasks[y] / slots[y]).fold(0.0, f64::max);
+        p.set_start(&point);
+    }
     p
 }
 
@@ -123,27 +134,37 @@ fn solve_counted(p: &Problem) -> (usize, usize) {
     (allocations, sol.pivots)
 }
 
-/// Map LPs of one shape (the same rows, columns and nonzeros, 610 rows:
-/// longer than the stack buffer of a stable sort) whose pivot counts differ
-/// by more than 64, so by at least four refactorizations of the eta file
-/// (one per 16 etas at most): once a first pass has grown the thread's
-/// scratch buffers, every solve makes the same number of allocations,
-/// whatever its pivots.
-#[test]
-fn allocations_do_not_grow_with_pivots_or_refactors() {
-    let lps: Vec<Problem> = (0..8).map(|seed| map_lp(200, 10, seed)).collect();
+/// `(allocations, pivots)` of each solve of eight map LPs of one shape
+/// (the same rows, columns and nonzeros, 610 rows: longer than the stack
+/// buffer of a stable sort), started from their In-Place points when
+/// `start`, after a first pass has grown the thread's scratch buffers.
+fn runs_of_one_shape(start: bool) -> Vec<(usize, usize)> {
+    let lps: Vec<Problem> = (0..8).map(|seed| map_lp(200, 10, seed, start)).collect();
+    assert_eq!(lps[0].num_constraints(), 610);
     for p in &lps {
         solve_counted(p);
     }
-    let runs: Vec<(usize, usize)> = lps.iter().map(solve_counted).collect();
-    let pivots = |r: &&(usize, usize)| r.1;
-    let fewest = runs.iter().min_by_key(pivots).unwrap().1;
-    let most = runs.iter().max_by_key(pivots).unwrap().1;
-    assert_eq!(lps[0].num_constraints(), 610);
-    assert!(fewest >= 100, "(allocations, pivots) {runs:?}");
-    assert!(most >= fewest + 64, "(allocations, pivots) {runs:?}");
-    assert!(
-        runs.iter().all(|r| r.0 == runs[0].0),
-        "(allocations, pivots) {runs:?}"
-    );
+    lps.iter().map(solve_counted).collect()
+}
+
+/// Map LPs of one shape whose pivot counts differ by more than 64, so by
+/// at least four refactorizations of the eta file (one per 16 etas at
+/// most): every solve makes the same number of allocations, whatever its
+/// pivots, from the slack basis and from the crash basis of a start alike.
+#[test]
+fn allocations_do_not_grow_with_pivots_or_refactors() {
+    for start in [false, true] {
+        let runs = runs_of_one_shape(start);
+        let pivots = |r: &&(usize, usize)| r.1;
+        let fewest = runs.iter().min_by_key(pivots).unwrap().1;
+        let most = runs.iter().max_by_key(pivots).unwrap().1;
+        // Cold solves all cross several refactorizations; started ones
+        // skip phase 1, so some cross only one.
+        assert!(start || fewest >= 100, "(allocations, pivots) {runs:?}");
+        assert!(most >= fewest + 64, "(allocations, pivots) {runs:?}");
+        assert!(
+            runs.iter().all(|r| r.0 == runs[0].0),
+            "start {start}: (allocations, pivots) {runs:?}"
+        );
+    }
 }
