@@ -11,18 +11,22 @@
 //!
 //! A solve begins from one of two bases. Given a start point
 //! ([`crate::Problem::set_start`]), [`Rev::start_from`] builds a crash
-//! basis: the point's support (its positive structurals and the slacks of
-//! the rows it leaves slack), eliminated with the extraction's
-//! [`Completion`], plus the unit column of every row left unpivoted. When
-//! that basis factors to a feasible basic solution with no artificial
-//! above zero, phase 1 has nothing to do and phase 2 starts there. The
-//! placement models hand over the paper's In-Place plan (map stages) and
-//! `W_min` plan (reduce stages), which no map or reduce LP of the
-//! benchmark's workloads rejects. Without a start, or when the crash basis
-//! is not feasible, the solve starts from the slack/artificial basis and
-//! runs phase 1 as before. Both paths end in the same face cleanup and
-//! refinement, so values and objective keep their bits; duals come from the
-//! terminal basis and may differ at a dual-degenerate optimum.
+//! basis: the point's support (the slacks of the rows it leaves slack and
+//! its positive structurals), eliminated units first with the extraction's
+//! [`Completion`], plus the unit column of every row left unpivoted. The
+//! slacks pivot on their own rows without fill, so the structurals, dense
+//! epigraph columns included, only eliminate the block of the rows the
+//! point holds tight. When that basis factors to a feasible basic solution
+//! with no artificial above zero, phase 1 has nothing to do and phase 2
+//! starts there. The placement models hand over the paper's In-Place plan
+//! (map stages) and the reverse planner's slot-proportional plan (reduce
+//! stages; the `W_min` plan where that one is no usable vertex), which no
+//! map or reduce LP of the benchmark's workloads rejects. Without a start,
+//! or when the crash basis is not feasible, the solve starts from the
+//! slack/artificial basis and runs phase 1 as before. Both paths end in the
+//! same face cleanup and refinement, so values and objective keep their
+//! bits; duals come from the terminal basis and may differ at a
+//! dual-degenerate optimum.
 //!
 //! The basis inverse is represented as a sparse LU factorization
 //! ([`crate::sparsela::SparseLu`]) composed with a product-form eta file;
@@ -276,16 +280,19 @@ impl<'a> Rev<'a> {
     }
 
     /// The crash basis of the start point `x` (structural values): its
-    /// support, the columns that may enter with `x_j > 0` and the slacks of
-    /// the rows it leaves slack by more than [`EPS`], is eliminated in
-    /// ascending column order with `completion`; a support column that
-    /// adds no rank is left out. Each row no chosen column pivots on gets
-    /// its own unit column, the slack or, on an `=` row, the artificial,
-    /// which keeps the basis nonsingular. Factored, the basis is the start
-    /// when every basic value lies in `[−EPS, ub + EPS]` and no artificial
-    /// is above `EPS`: its basic solution is then a feasible point and
-    /// phase 1 has nothing to do. Returns whether it is; when it is not,
-    /// the caller sets another basis.
+    /// support, the slacks of the rows it leaves slack by more than [`EPS`]
+    /// and the columns that may enter with `x_j > 0`, is eliminated with
+    /// `completion`, units first: the slacks in row order, each pivoting on
+    /// its own row without fill, then the structurals in ascending column
+    /// order, which leaves them only the block of the rows the point holds
+    /// tight to eliminate. A support column that adds no rank is left out.
+    /// Each row no chosen column pivots on gets its own unit column, the
+    /// slack or, on an `=` row, the artificial, which keeps the basis
+    /// nonsingular. Factored, the basis is the start when every basic
+    /// value lies in `[−EPS, ub + EPS]` and no artificial is above `EPS`:
+    /// its basic solution is then a feasible point and phase 1 has nothing
+    /// to do. Returns whether it is; when it is not, the caller sets
+    /// another basis.
     fn start_from(&mut self, x: &[f64], completion: &mut Completion) -> bool {
         let sys = self.sys;
         let m = sys.m();
@@ -298,9 +305,6 @@ impl<'a> Rev<'a> {
             }
         };
         completion.reset(m);
-        for j in (0..sys.num_vars).filter(|&j| value(j) > 0.0) {
-            completion.add(sys, j);
-        }
         for (r, row) in sys.rows.iter().enumerate() {
             let activity: f64 = sys
                 .terms(r)
@@ -315,6 +319,9 @@ impl<'a> Rev<'a> {
             if slack > EPS {
                 completion.add(sys, sys.dual_col[r]);
             }
+        }
+        for j in (0..sys.num_vars).filter(|&j| value(j) > 0.0) {
+            completion.add(sys, j);
         }
         self.basis_cols.clear();
         self.basis_cols.extend_from_slice(completion.chosen());
@@ -838,6 +845,58 @@ mod tests {
         rev.set_basis(&sys.init_basis).unwrap();
         assert!(rev.artificial_residual() > 0.0);
         assert!(rev.status[0] == Status::Lower);
+
+        // A reduce-placement LP at its slot-proportional vertex: fractions
+        // `r_x = S_x / ΣS`, with `T_shufl` and `T_red` dense columns over
+        // the upload, download and compute rows. Every compute row and the
+        // upload row of site 3 are tight; the slacks of the other rows are
+        // eliminated first, each on its own row, then the structurals.
+        let shuffle = [4.0, 0.0, 1.0, 2.0, 0.0, 3.0];
+        let up = [1.0, 2.0, 1.0, 0.5, 1.0, 2.0];
+        let down = [1.0, 1.0, 2.0, 1.0, 0.5, 1.0];
+        let slots = [4.0, 2.0, 6.0, 1.0, 3.0, 8.0];
+        let (n, work) = (shuffle.len(), 120.0);
+        let total: f64 = shuffle.iter().sum();
+        let all_slots: f64 = slots.iter().sum();
+        let (t_shufl, t_red) = (n, n + 1);
+        let mut p = Problem::minimize(n + 2);
+        p.set_objective(&[(t_shufl, 1.0), (t_red, 1.0)]);
+        for x in 0..n {
+            let terms = [(x, -shuffle[x]), (t_shufl, -up[x])];
+            p.add_constraint(&terms, Relation::Le, -shuffle[x]);
+        }
+        for x in 0..n {
+            let terms = [(x, total - shuffle[x]), (t_shufl, -down[x])];
+            p.add_constraint(&terms, Relation::Le, 0.0);
+        }
+        for (x, &s) in slots.iter().enumerate() {
+            p.add_constraint(&[(x, work), (t_red, -s)], Relation::Le, 0.0);
+        }
+        let ones: Vec<(usize, f64)> = (0..n).map(|x| (x, 1.0)).collect();
+        p.add_constraint(&ones, Relation::Eq, 1.0);
+        let mut point: Vec<f64> = slots.iter().map(|s| s / all_slots).collect();
+        point.push((0..n).fold(0.0, |t: f64, x| {
+            let upload = shuffle[x] * (1.0 - point[x]) / up[x];
+            t.max(upload).max((total - shuffle[x]) * point[x] / down[x])
+        }));
+        point.push((0..n).fold(0.0, |t: f64, x| t.max(work * point[x] / slots[x])));
+        let sys = NormSystem::build(&p);
+        let mut rev = Rev::new(&sys, &[f64::INFINITY; 8], &mut inv);
+        assert!(rev.start_from(&point, &mut completion));
+        assert_eq!(rev.artificial_residual(), 0.0);
+        let units = completion.chosen().partition_point(|&c| c >= sys.num_vars);
+        assert_eq!(
+            units,
+            2 * n - 1,
+            "one slack per upload or download row but one"
+        );
+        assert!(completion.chosen()[units..]
+            .iter()
+            .all(|&c| c < sys.num_vars));
+        for (j, &v) in point.iter().enumerate() {
+            let at = rev.basis_cols.iter().position(|&c| c == j).unwrap();
+            assert!((rev.xb[at] - v).abs() <= 1e-12 * v.max(1.0), "column {j}");
+        }
     }
 
     /// A basis holding one column at two positions is singular, and
